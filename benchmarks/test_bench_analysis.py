@@ -10,8 +10,8 @@ printed as JSON at the end of the session (and written to the path in
   programs, disk layer off;
 * ``session_memoized``  — the same queries re-issued against the warm
   sessions (pure memo hits);
-* ``session_disk_warm`` — fresh sessions served by the on-disk
-  analysis cache (the cross-process path);
+* ``session_disk_warm`` — fresh sessions served by the ``analysis``
+  namespace of the on-disk store (the cross-process path);
 * ``solve_dense`` / ``solve_sparse`` — every suite CFG's Markov flow
   system solved with the method forced;
 * ``run_all_serial`` / ``run_all_parallel`` — the full experiment
@@ -94,21 +94,19 @@ def _timed(name: str, function, *args, **kwargs):
     return result
 
 
-def _count_cache_traffic(name: str, prefix: str, function, *args):
-    """Run ``function`` and record the ``<prefix>.hits``/``.misses``
-    counter deltas it produced into the report as ``<name>_hits`` and
-    ``<name>_misses``."""
+def _count_cache_traffic(name: str, namespace: str, function, *args):
+    """Run ``function`` and record the ``store.hits``/``store.misses``
+    counter deltas of store ``namespace`` it produced into the report
+    as ``<name>_hits`` and ``<name>_misses``."""
     from repro.obs import counter_value
 
-    hits_before = counter_value(f"{prefix}.hits")
-    misses_before = counter_value(f"{prefix}.misses")
+    hits = f"store.hits{{ns={namespace}}}"
+    misses = f"store.misses{{ns={namespace}}}"
+    hits_before = counter_value(hits)
+    misses_before = counter_value(misses)
     result = function(*args)
-    _REPORT[f"{name}_hits"] = int(
-        counter_value(f"{prefix}.hits") - hits_before
-    )
-    _REPORT[f"{name}_misses"] = int(
-        counter_value(f"{prefix}.misses") - misses_before
-    )
+    _REPORT[f"{name}_hits"] = int(counter_value(hits) - hits_before)
+    _REPORT[f"{name}_misses"] = int(counter_value(misses) - misses_before)
     return result
 
 
@@ -142,7 +140,7 @@ def _query_all(sessions) -> int:
 
 
 def test_bench_session_cold_vs_memoized(benchmark, monkeypatch):
-    monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "0")
+    monkeypatch.setenv("REPRO_CACHE", "0")
     sessions = _fresh_sessions()
 
     def cold_then_memoized():
@@ -163,8 +161,7 @@ def test_bench_session_disk_cache(
     benchmark, tmp_path_factory, monkeypatch
 ):
     directory = tmp_path_factory.mktemp("analysis-cache")
-    monkeypatch.setenv("REPRO_ANALYSIS_CACHE_DIR", str(directory))
-    monkeypatch.delenv("REPRO_ANALYSIS_CACHE", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(directory))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     _query_all(_fresh_sessions())  # populate the store
 
@@ -173,7 +170,7 @@ def test_bench_session_disk_cache(
         benchmark,
         lambda: _count_cache_traffic(
             "analysis_cache",
-            "analysis_cache",
+            "analysis",
             lambda: _timed("session_disk_warm", _query_all, sessions),
         ),
     )
@@ -229,5 +226,5 @@ def test_bench_run_all_serial_vs_parallel(benchmark, warm_suite):
 
     run_once(
         benchmark,
-        lambda: _count_cache_traffic("profile_cache", "profile_cache", both),
+        lambda: _count_cache_traffic("profile_cache", "profiles", both),
     )

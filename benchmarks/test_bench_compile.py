@@ -78,8 +78,7 @@ def test_bench_codegen(benchmark, name, tmp_path_factory, monkeypatch):
     from repro.suite import load_program
 
     monkeypatch.setenv(
-        "REPRO_CODEGEN_CACHE_DIR",
-        str(tmp_path_factory.mktemp(f"codegen-{name}")),
+        "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp(f"codegen-{name}"))
     )
     program = load_program(name)  # frontend outside the measured region
 
@@ -102,8 +101,7 @@ def test_bench_execution(benchmark, name, tmp_path_factory, monkeypatch):
     from repro.suite import load_program, program_inputs, run_on_input
 
     monkeypatch.setenv(
-        "REPRO_CODEGEN_CACHE_DIR",
-        str(tmp_path_factory.mktemp(f"exec-{name}")),
+        "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp(f"exec-{name}"))
     )
     program = load_program(name)
     stdin = program_inputs(name)[0]
@@ -127,27 +125,30 @@ def test_bench_execution(benchmark, name, tmp_path_factory, monkeypatch):
 
 @pytest.mark.parametrize("name", _SUBJECTS)
 def test_bench_cached_load(benchmark, name, tmp_path_factory, monkeypatch):
-    """Reloading the marshalled code object from the codegen cache —
-    what a fresh process pays instead of re-running codegen."""
-    from repro.compile import cache as codegen_cache
+    """Reloading the marshalled code object from the store's
+    ``codegen`` namespace — what a fresh process pays instead of
+    re-running codegen."""
+    import marshal
+
+    from repro import store
+    from repro.compile.backend import codegen_key
     from repro.compile.lower import lower_program
     from repro.suite import load_program, program_source
 
     directory = str(tmp_path_factory.mktemp(f"load-{name}"))
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", directory)
+    monkeypatch.setenv("REPRO_CACHE_DIR", directory)
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
     program = load_program(name)
     lowered = lower_program(program)
-    key = codegen_cache.codegen_cache_key(program_source(name))
+    key = codegen_key(program_source(name))
     code = compile(lowered.source, f"<{name}>", "exec")
-    codegen_cache.store_code(key, lowered.source, code, directory)
+    store.put("codegen", key, marshal.dumps(code))
 
     loaded = run_once(
         benchmark,
         lambda: _timed(
             f"cached_load_{name}",
-            codegen_cache.load_cached_code,
-            key,
-            directory,
+            lambda: marshal.loads(store.get("codegen", key)),
         ),
     )
     assert loaded is not None

@@ -49,12 +49,12 @@ _SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip().lower() in {
 }
 
 _CACHE_COUNTERS = (
-    "profile_cache.hits",
-    "profile_cache.misses",
-    "profile_cache.stores",
-    "compile.cache.hits",
-    "compile.cache.misses",
-    "compile.cache.stores",
+    "store.hits{ns=profiles}",
+    "store.misses{ns=profiles}",
+    "store.stores{ns=profiles}",
+    "store.hits{ns=codegen}",
+    "store.misses{ns=codegen}",
+    "store.stores{ns=codegen}",
 )
 
 
@@ -116,21 +116,15 @@ def _fresh_cache(tmp_path_factory, monkeypatch, label: str) -> str:
     return str(directory)
 
 
-def _fresh_codegen_cache(tmp_path_factory, monkeypatch, label: str) -> str:
-    directory = tmp_path_factory.mktemp(label)
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", str(directory))
-    return str(directory)
-
-
 def test_bench_suite_cold_serial(
     benchmark, tmp_path_factory, monkeypatch
 ):
-    from repro.profiles import cache_info
+    from repro import store
     from repro.suite import clear_caches, collect_suite_profiles
 
     names = _bench_names()
     monkeypatch.setenv("REPRO_BACKEND", "interp")
-    directory = _fresh_cache(tmp_path_factory, monkeypatch, "cold-serial")
+    _fresh_cache(tmp_path_factory, monkeypatch, "cold-serial")
     clear_caches()
     profiles = run_once(
         benchmark,
@@ -143,7 +137,7 @@ def test_bench_suite_cold_serial(
         ),
     )
     assert len(profiles) == len(names)
-    assert cache_info(directory)["entries"] == sum(
+    assert store.info("profiles")["entries"] == sum(
         len(p) for p in profiles.values()
     )
 
@@ -190,8 +184,8 @@ def test_bench_suite_warm(benchmark, tmp_path_factory, monkeypatch):
     # Warm collection must be dramatically cheaper than interpretation.
     if "suite_cold_serial" in _REPORT:
         assert _REPORT["suite_warm"] < _REPORT["suite_cold_serial"] / 10
-    assert _CACHE["suite_warm"]["profile_cache.hits"] > 0
-    assert _CACHE["suite_warm"]["profile_cache.misses"] == 0
+    assert _CACHE["suite_warm"]["store.hits{ns=profiles}"] > 0
+    assert _CACHE["suite_warm"]["store.misses{ns=profiles}"] == 0
 
 
 def test_bench_suite_cold_compiled(
@@ -204,7 +198,6 @@ def test_bench_suite_cold_compiled(
     names = _bench_names()
     monkeypatch.setenv("REPRO_BACKEND", "compiled")
     _fresh_cache(tmp_path_factory, monkeypatch, "cold-compiled")
-    _fresh_codegen_cache(tmp_path_factory, monkeypatch, "codegen-cold")
     clear_caches()
     profiles = run_once(
         benchmark,
@@ -218,8 +211,8 @@ def test_bench_suite_cold_compiled(
     )
     assert len(profiles) == len(names)
     counters = _CACHE["suite_cold_compiled"]
-    assert counters["compile.cache.misses"] > 0
-    assert counters["compile.cache.stores"] > 0
+    assert counters["store.misses{ns=codegen}"] > 0
+    assert counters["store.stores{ns=codegen}"] > 0
     if "suite_cold_serial" in _REPORT and not _SMOKE:
         # The headline claim: codegen included, cold compiled profiling
         # beats cold interpretation outright (the committed report pins
@@ -234,15 +227,15 @@ def test_bench_suite_cold_compiled_warm_codegen(
 ):
     """Compiled backend with a primed codegen cache: profiles are still
     computed from scratch, but generated modules load from disk."""
+    from repro import store
     from repro.suite import clear_caches, collect_suite_profiles
 
     names = _bench_names()
     monkeypatch.setenv("REPRO_BACKEND", "compiled")
-    _fresh_codegen_cache(tmp_path_factory, monkeypatch, "codegen-warm")
     _fresh_cache(tmp_path_factory, monkeypatch, "compiled-prime")
     clear_caches()
-    collect_suite_profiles(names, jobs=1)  # prime the codegen cache
-    _fresh_cache(tmp_path_factory, monkeypatch, "compiled-rerun")
+    collect_suite_profiles(names, jobs=1)  # prime the codegen namespace
+    store.clear("profiles")  # profiles start cold again
     clear_caches()
     profiles = run_once(
         benchmark,
@@ -256,8 +249,8 @@ def test_bench_suite_cold_compiled_warm_codegen(
     )
     assert len(profiles) == len(names)
     counters = _CACHE["suite_cold_compiled_warm_codegen"]
-    assert counters["compile.cache.hits"] > 0
-    assert counters["compile.cache.misses"] == 0
+    assert counters["store.hits{ns=codegen}"] > 0
+    assert counters["store.misses{ns=codegen}"] == 0
 
 
 def test_bench_interpreter_hot_loop(benchmark):

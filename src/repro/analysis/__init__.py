@@ -6,27 +6,18 @@ the benchmarks — talks to a per-program :class:`AnalysisSession`
 (branch predictions, per-block transition probabilities, intra
 estimates, call-graph invocation estimates, call-site frequencies)
 exactly once per (program, estimator) pair and hands the cached result
-to every caller.  An optional on-disk layer
-(:mod:`repro.analysis.cache`) persists the computed estimates alongside
-the PR-1 profile cache, keyed by a content hash of the source, so
-separate processes (parallel experiment workers, repeated CLI runs)
-share the analysis work too.
+to every caller.  The computed estimates also persist in the
+``analysis`` namespace of :mod:`repro.store`, keyed by a content hash
+of the source, so separate processes (parallel experiment workers,
+repeated CLI runs) share the analysis work too.
 """
 
-from repro.analysis.cache import (
-    ANALYSIS_VERSION,
-    analysis_cache_dir,
-    analysis_cache_enabled,
-    analysis_cache_info,
-    analysis_cache_key,
-    clear_analysis_cache,
-    load_cached_analysis,
-    store_analysis,
-)
 from repro.analysis.session import (
+    ANALYSIS_VERSION,
     AnalysisSession,
     MemoizedPredictor,
     SessionStats,
+    analysis_key,
     clear_sessions,
     record_stage,
     session_for_source,
@@ -40,17 +31,11 @@ __all__ = [
     "AnalysisSession",
     "MemoizedPredictor",
     "SessionStats",
-    "analysis_cache_dir",
-    "analysis_cache_enabled",
-    "analysis_cache_info",
-    "analysis_cache_key",
-    "clear_analysis_cache",
+    "analysis_key",
     "clear_sessions",
-    "load_cached_analysis",
     "record_stage",
     "session_for_source",
     "session_for_suite",
     "stage_snapshot",
     "stage_totals_since",
-    "store_analysis",
 ]

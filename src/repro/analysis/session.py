@@ -18,11 +18,10 @@ makes the memo available to *every* code path holding the program —
 including the estimator registry functions — without threading a
 session argument through each call chain.
 
-Sessions also consult the optional on-disk layer
-(:mod:`repro.analysis.cache`): computed intra estimates and Markov
-invocations are persisted keyed by a content hash of the source, so a
-second process (a parallel experiment worker, the next CLI run) loads
-them instead of re-solving.
+Sessions also consult the ``analysis`` namespace of :mod:`repro.store`:
+computed intra estimates and Markov invocations are persisted keyed by
+a content hash of the source, so a second process (a parallel
+experiment worker, the next CLI run) loads them instead of re-solving.
 
 Every computation records its wall time into a module-level stage
 accumulator (``parse``, ``intra:<estimator>``, ``inter:<backend>``,
@@ -32,12 +31,13 @@ accumulator (``parse``, ``intra:<estimator>``, ``inter:<backend>``,
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis import cache as analysis_cache
+from repro import store
 from repro.cfg.block import BasicBlock, CondBranch, SwitchBranch
 from repro.obs import histogram_sums, incr, observe, span
 from repro.estimators.base import (
@@ -55,6 +55,18 @@ from repro.prediction.error_functions import settings_for_program
 from repro.prediction.heuristics import BranchPrediction
 from repro.prediction.predictor import BranchPredictor, HeuristicPredictor
 from repro.program import Program
+
+#: Bump when analysis semantics change (heuristics, CFG construction,
+#: estimator algorithms, solver behavior) so stale stored entries miss.
+ANALYSIS_VERSION = 1
+ANALYSIS_NAMESPACE = "analysis"
+
+
+def analysis_key(source: str, kind: str, estimator: str) -> str:
+    """Store key of one (program, artifact) analysis, e.g. ``intra`` /
+    ``markov`` or ``inter`` / ``markov:smart``."""
+    return store.key(f"analysis={ANALYSIS_VERSION}", kind, estimator, source)
+
 
 # ----------------------------------------------------------------------
 # Stage timing: each timed run lands in an ``analysis.stage.<stage>``
@@ -257,30 +269,39 @@ class AnalysisSession:
             for name in self.program.function_names
         }
 
+    def _load_from_disk(self, kind: str, estimator: str) -> Optional[dict]:
+        if not self.program.source:
+            return None
+        payload = store.get(
+            ANALYSIS_NAMESPACE,
+            analysis_key(self.program.source, kind, estimator),
+        )
+        return None if payload is None else json.loads(payload)
+
+    def _store_to_disk(self, kind: str, estimator: str, payload: dict) -> None:
+        if not self.program.source or not store.enabled():
+            return
+        encoded = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        store.put(
+            ANALYSIS_NAMESPACE,
+            analysis_key(self.program.source, kind, estimator),
+            encoded.encode("utf-8"),
+        )
+        self.stats.disk_stores += 1
+
     def _load_intra_from_disk(
         self, estimator: str
     ) -> Optional[dict[str, dict[int, float]]]:
-        if not self.program.source or not analysis_cache.analysis_cache_enabled():
+        payload = self._load_from_disk("intra", estimator)
+        if payload is None:
             return None
-        payload = analysis_cache.load_cached_analysis(
-            analysis_cache.analysis_cache_key(
-                self.program.source, "intra", estimator
-            )
-        )
-        if payload is None or not isinstance(
-            payload.get("functions"), dict
-        ):
-            return None
-        try:
-            estimates = {
-                name: {
-                    int(block_id): float(value)
-                    for block_id, value in blocks.items()
-                }
-                for name, blocks in payload["functions"].items()
+        estimates = {
+            name: {
+                int(block_id): float(value)
+                for block_id, value in blocks.items()
             }
-        except (AttributeError, TypeError, ValueError):
-            return None
+            for name, blocks in payload["functions"].items()
+        }
         # A stale entry for a different function set must not survive.
         if set(estimates) != set(self.program.function_names):
             return None
@@ -290,12 +311,9 @@ class AnalysisSession:
     def _store_intra_to_disk(
         self, estimator: str, estimates: dict[str, dict[int, float]]
     ) -> None:
-        if not self.program.source or not analysis_cache.analysis_cache_enabled():
-            return
-        analysis_cache.store_analysis(
-            analysis_cache.analysis_cache_key(
-                self.program.source, "intra", estimator
-            ),
+        self._store_to_disk(
+            "intra",
+            estimator,
             {
                 "functions": {
                     name: {
@@ -306,7 +324,6 @@ class AnalysisSession:
                 }
             },
         )
-        self.stats.disk_stores += 1
 
     # ------------------------------------------------------------------
     # Inter-procedural (invocation) estimates.
@@ -373,24 +390,13 @@ class AnalysisSession:
         # combiners are a linear pass over already-memoized estimates.
         if backend != "markov":
             return None
-        if not self.program.source or not analysis_cache.analysis_cache_enabled():
+        payload = self._load_from_disk("inter", f"{backend}:{estimator}")
+        if payload is None:
             return None
-        payload = analysis_cache.load_cached_analysis(
-            analysis_cache.analysis_cache_key(
-                self.program.source, "inter", f"{backend}:{estimator}"
-            )
-        )
-        if payload is None or not isinstance(
-            payload.get("invocations"), dict
-        ):
-            return None
-        try:
-            invocations = {
-                name: float(value)
-                for name, value in payload["invocations"].items()
-            }
-        except (TypeError, ValueError):
-            return None
+        invocations = {
+            name: float(value)
+            for name, value in payload["invocations"].items()
+        }
         if set(invocations) != set(self.program.function_names):
             return None
         self.stats.disk_hits += 1
@@ -399,17 +405,10 @@ class AnalysisSession:
     def _store_invocations_to_disk(
         self, backend: str, estimator: str, invocations: dict[str, float]
     ) -> None:
-        if backend != "markov":
-            return
-        if not self.program.source or not analysis_cache.analysis_cache_enabled():
-            return
-        analysis_cache.store_analysis(
-            analysis_cache.analysis_cache_key(
-                self.program.source, "inter", f"{backend}:{estimator}"
-            ),
-            {"invocations": invocations},
-        )
-        self.stats.disk_stores += 1
+        if backend == "markov":
+            self._store_to_disk(
+                "inter", f"{backend}:{estimator}", {"invocations": invocations}
+            )
 
     # ------------------------------------------------------------------
     # Global call-site frequencies.

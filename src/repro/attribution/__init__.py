@@ -18,10 +18,9 @@ matching); this package answers *why* those numbers are what they are:
 * :mod:`repro.attribution.heatmap` renders CFG heatmap overlays
   (blocks shaded by frequency error, edges labelled predicted vs.
   actual probability);
-* :mod:`repro.attribution.cache` persists computed explanations
-  keyed by content hash, next to the profile/analysis caches;
 * :mod:`repro.attribution.explain` orchestrates all of it behind the
-  ``repro explain`` CLI.
+  ``repro explain`` CLI and persists computed explanations in the
+  ``attribution`` namespace of :mod:`repro.store`.
 
 Attribution is backend-agnostic (the interpreter and the compiled
 backend produce byte-identical profiles) and tier-agnostic (base and

@@ -11,7 +11,8 @@ pieces end to end:
    flow system (:mod:`repro.attribution.sensitivity`), and the
    resulting local attributions are weighted by the inter-procedural
    Markov invocation estimates so branches rank globally;
-4. the result is cached (:mod:`repro.attribution.cache`), published as
+4. the result is stored (the ``attribution`` namespace of
+   :mod:`repro.store`), published as
    metrics (:mod:`repro.attribution.accuracy`), and rendered as text,
    JSON, JSONL features, or DOT heatmaps.
 
@@ -22,9 +23,12 @@ job counts — ``repro explain`` output is byte-identical across
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
+from repro import store
 from repro.estimators.base import (
     INTRA_ESTIMATORS,
     profile_block_estimates,
@@ -34,8 +38,8 @@ from repro.linalg.solve import SingularMatrixError
 from repro.obs import incr, span
 from repro.profiles.aggregate import aggregate_profiles
 from repro.profiles.profile import Profile
+from repro.profiles.serialize import dumps_profile
 
-from repro.attribution import cache as attribution_cache
 from repro.attribution.accuracy import (
     accuracy_by_heuristic,
     publish_accuracy_metrics,
@@ -45,6 +49,29 @@ from repro.attribution.sensitivity import attribute_function_errors
 
 #: Default number of ranked branches shown by ``repro explain``.
 DEFAULT_TOP = 10
+
+#: Bump when attribution semantics change (record fields, sensitivity
+#: math, accuracy protocol) so stale stored entries miss.
+ATTRIBUTION_VERSION = 1
+ATTRIBUTION_NAMESPACE = "attribution"
+
+
+def attribution_key(
+    name: str, source: str, profiles: Sequence[Profile], estimator: str
+) -> str:
+    """Store key of one (program, profiles, estimator) explanation.
+    Profiles enter by digest of their serialized form, which is
+    byte-identical across backends and worker counts."""
+    return store.key(
+        f"attribution={ATTRIBUTION_VERSION}",
+        name,
+        estimator,
+        source,
+        *(
+            hashlib.sha256(dumps_profile(p).encode("utf-8")).hexdigest()
+            for p in profiles
+        ),
+    )
 
 
 @dataclass
@@ -172,34 +199,23 @@ def explain_program(
     session = session_for_suite(name)
     program = session.program
     profiles = collect_profiles(name)
-    cache_on = (
-        attribution_cache.attribution_cache_enabled()
-        if use_cache is None
-        else use_cache
-    )
-    key = attribution_cache.attribution_cache_key(
-        program.source or name, profiles, estimator
-    )
+    cache_on = store.enabled() if use_cache is None else use_cache
     if cache_on:
-        payload = attribution_cache.load_cached_explanation(key)
+        key = attribution_key(name, program.source, profiles, estimator)
+        payload = store.get(ATTRIBUTION_NAMESPACE, key)
         if payload is not None:
-            try:
-                explanation = ProgramExplanation.from_dict(payload)
-            except (KeyError, TypeError, ValueError):
-                explanation = None
-            if (
-                explanation is not None
-                and explanation.program == name
-                and explanation.estimator == estimator
-            ):
-                publish_accuracy_metrics(name, explanation.records)
-                return explanation
+            explanation = ProgramExplanation.from_dict(json.loads(payload))
+            publish_accuracy_metrics(name, explanation.records)
+            return explanation
     with span("attribution.explain", program=name, estimator=estimator):
         explanation = _compute_explanation(
             session, name, estimator, aggregate_profiles(profiles)
         )
     if cache_on:
-        attribution_cache.store_explanation(key, explanation.to_dict())
+        encoded = json.dumps(
+            explanation.to_dict(), separators=(",", ":"), sort_keys=True
+        )
+        store.put(ATTRIBUTION_NAMESPACE, key, encoded.encode("utf-8"))
     publish_accuracy_metrics(name, explanation.records)
     return explanation
 

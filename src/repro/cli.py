@@ -14,7 +14,7 @@ Usage (after installing the package)::
     python -m repro profile-suite --timings # collect/warm all profiles
     python -m repro profile-suite --tier xl --record  # suite XL, ledgered
     python -m repro run all --backend interp   # reference interpreter
-    python -m repro cache info              # caches + fuzz corpus
+    python -m repro cache info              # every store namespace
     python -m repro cache clear
     python -m repro fuzz run --seed 0 --count 100 --jobs 4
     python -m repro fuzz replay <case>      # re-check one saved case
@@ -34,16 +34,17 @@ Usage (after installing the package)::
         --fail-on-regression                # the CI regression gate
     python -m repro report --html out.html  # self-contained dashboard
 
-Profiling is cached persistently (see ``repro.profiles.cache``) and can
-fan out over worker processes; ``--jobs``/``REPRO_JOBS`` control the
-worker count and ``REPRO_CACHE_DIR``/``REPRO_CACHE`` the cache.
+Profiles, analyses, generated code, attributions and the fuzz corpus
+persist in one content-addressed store (:mod:`repro.store`), one
+namespace each, rooted at ``REPRO_CACHE_DIR`` and switched off by
+``REPRO_CACHE=0``; ``repro cache info|clear`` loop over its namespaces.
+Profiling can fan out over worker processes; ``--jobs``/``REPRO_JOBS``
+control the worker count.
 
 Execution defaults to the compiled backend (:mod:`repro.compile`);
 ``--backend interp`` / ``REPRO_BACKEND=interp`` select the reference
 interpreter, and the two produce byte-identical profiles (enforced by
-the ``compiled_vs_interpreter`` fuzz oracle).  Generated code persists
-in the codegen cache (``REPRO_CODEGEN_CACHE_DIR``/
-``REPRO_CODEGEN_CACHE``), covered by ``repro cache info|clear``.
+the ``compiled_vs_interpreter`` fuzz oracle).
 
 Observability (see :mod:`repro.obs`): ``--trace``/``REPRO_TRACE``
 record a span trace and write it as JSONL (``REPRO_TRACE_FILE``,
@@ -72,13 +73,10 @@ import os
 import sys
 import time
 
-from repro import obs
-from repro.analysis import cache as analysis_cache
-from repro.attribution import cache as attribution_cache
+from repro import obs, store
 from repro.analysis.session import session_for_suite
 from repro.cfg import cfg_to_dot
 from repro.compile import BACKENDS
-from repro.compile import cache as codegen_cache
 from repro.frontend.errors import FrontendError
 from repro.fuzz import corpus as fuzz_corpus
 from repro.experiments import (
@@ -88,7 +86,6 @@ from repro.experiments import (
     run_one,
 )
 from repro.obs import ledger
-from repro.profiles import cache as profile_cache
 from repro.suite import (
     SUITE,
     SUITE_BY_NAME,
@@ -555,18 +552,11 @@ def _format_mtime(value: object) -> str:
 
 
 def _command_cache(args: argparse.Namespace) -> int:
+    namespaces = (*store.NAMESPACES, store.QUARANTINE)
     if args.action == "info":
-        for title, info in (
-            ("profile cache", profile_cache.cache_info()),
-            ("analysis cache", analysis_cache.analysis_cache_info()),
-            ("codegen cache", codegen_cache.codegen_cache_info()),
-            (
-                "attribution cache",
-                attribution_cache.attribution_cache_info(),
-            ),
-            ("fuzz corpus", fuzz_corpus.corpus_info()),
-        ):
-            print(f"{title}:")
+        for namespace in namespaces:
+            info = store.info(namespace)
+            print(f"{namespace}:")
             print(f"  directory: {info['directory']}")
             print(f"  enabled:   {'yes' if info['enabled'] else 'no'}")
             print(f"  entries:   {info['entries']}")
@@ -598,28 +588,11 @@ def _command_cache(args: argparse.Namespace) -> int:
         print(f"  files:     {info['files']}")
         print(f"  size:      {info['bytes']} bytes")
         return 0
-    for title, info, clear in (
-        ("profile cache", profile_cache.cache_info(), profile_cache.clear_cache),
-        (
-            "analysis cache",
-            analysis_cache.analysis_cache_info(),
-            analysis_cache.clear_analysis_cache,
-        ),
-        (
-            "codegen cache",
-            codegen_cache.codegen_cache_info(),
-            codegen_cache.clear_codegen_cache,
-        ),
-        (
-            "attribution cache",
-            attribution_cache.attribution_cache_info(),
-            attribution_cache.clear_attribution_cache,
-        ),
-        ("fuzz corpus", fuzz_corpus.corpus_info(), fuzz_corpus.clear_corpus),
-    ):
-        removed = clear()
+    for namespace in namespaces:
+        info = store.info(namespace)
+        removed = store.clear(namespace)
         print(
-            f"{title}: removed {removed} entries "
+            f"{namespace}: removed {removed} entries "
             f"({info['bytes']} bytes) from {info['directory']}"
         )
     info = ledger.ledger_info()
@@ -1484,7 +1457,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--file",
         default=None,
         help="stats snapshot file (default: REPRO_STATS_FILE or the "
-        "profile cache directory)",
+        "store root)",
     )
     stats_parser.set_defaults(handler=_command_stats)
 
@@ -1587,7 +1560,7 @@ def _finish_observability() -> None:
         path, count = obs.write_trace_jsonl()
         obs.diag(f"repro: wrote {count} spans to {path}")
     if obs.metrics_snapshot() and (
-        profile_cache.cache_enabled() or os.environ.get("REPRO_STATS_FILE")
+        store.enabled() or os.environ.get("REPRO_STATS_FILE")
     ):
         obs.write_stats()
 

@@ -4,8 +4,8 @@ This package lowers the interpreter's flattened block plans (see
 :func:`repro.interp.machine.block_plan`) to generated Python source —
 one closure per C function, dispatch-free code with profile counters as
 plain dict increments and register-allocated scalars as Python locals —
-then ``compile()``s and caches the result in a content-addressed
-codegen cache alongside the profile and analysis caches.
+then ``compile()``s and persists the result in the ``codegen``
+namespace of :mod:`repro.store`.
 
 The contract is *byte-identical profiles*: a compiled run must produce
 exactly the same :class:`~repro.profiles.profile.Profile` (including
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 #: Version of the lowering scheme.  Bump whenever generated code for
 #: the same source would change (new lowering rules, changed runtime
-#: helpers, changed factory protocol); stale codegen cache entries are
+#: helpers, changed factory protocol); stale stored codegen is
 #: invalidated exactly like ``INTERP_VERSION`` invalidates profiles.
 COMPILE_VERSION = 1
 

@@ -17,33 +17,29 @@ Linking is lazy and cached at three levels:
   load-bearing for byte-identical profiles);
 * per *process and program*: the generated module is exec'd once and
   memoized in a :class:`weakref.WeakKeyDictionary`;
-* per *machine fleet*: the generated source and marshal'd code object
-  persist in the content-addressed codegen cache
-  (:mod:`repro.compile.cache`), so parallel workers and later runs
-  skip lowering entirely.
+* per *machine fleet*: the marshal'd code object persists in the
+  ``codegen`` namespace of :mod:`repro.store`, so parallel workers and
+  later runs skip lowering entirely.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
+import sys
 from typing import Optional
 from weakref import WeakKeyDictionary
 
+from repro import store
 from repro.frontend import ast_nodes as ast
 from repro.frontend import ctypes as ct
+from repro.interp import INTERP_VERSION
 from repro.interp.errors import InterpreterError
 from repro.interp.machine import ExecutionResult, Machine
 from repro.interp.values import AggregateValue
 from repro.obs import incr, span
 from repro.profiles.profile import Profile
 from repro.program import Program
-
-from repro.compile.cache import (
-    codegen_cache_enabled,
-    codegen_cache_key,
-    load_cached_code,
-    store_code,
-)
 
 #: Recognized backend names, in documentation order.
 BACKENDS = ("interp", "compiled")
@@ -115,23 +111,38 @@ def _node_index(program: Program) -> dict[int, ast.Node]:
     return index
 
 
+CODEGEN_NAMESPACE = "codegen"
+
+
+def codegen_key(source: str) -> str:
+    """Store key of one program's generated code.  Besides the source it
+    covers the lowering scheme, the interpreter semantics lowering
+    mirrors, and the marshal format (interpreter-build specific)."""
+    from repro.compile import COMPILE_VERSION
+
+    return store.key(
+        f"compile={COMPILE_VERSION};interp={INTERP_VERSION};"
+        f"pytag={sys.implementation.cache_tag}",
+        source,
+    )
+
+
 def compile_program(program: Program) -> _CompiledModule:
     """Lower, compile, and exec ``program``'s generated module.
 
-    Memoized per process; the codegen cache makes later processes (and
-    later runs) skip lowering and parsing, loading the marshal'd code
-    object instead.
+    Memoized per process; the store makes later processes (and later
+    runs) skip lowering and parsing, loading the marshal'd code object
+    instead.
     """
     module = _MODULE_MEMO.get(program)
     if module is not None:
         return module
     with span("compile.program", program=program.name):
-        code = None
-        cache_on = codegen_cache_enabled()
-        key = codegen_cache_key(program.source) if cache_on else ""
-        if cache_on:
-            code = load_cached_code(key)
-        if code is None:
+        key = codegen_key(program.source)
+        blob = store.get(CODEGEN_NAMESPACE, key)
+        if blob is not None:
+            code = marshal.loads(blob)
+        else:
             from repro.compile.lower import lower_program
 
             with span("compile.lower", program=program.name):
@@ -142,8 +153,7 @@ def compile_program(program: Program) -> _CompiledModule:
                 f"<repro-codegen {program.name}>",
                 "exec",
             )
-            if cache_on:
-                store_code(key, lowered.source, code)
+            store.put(CODEGEN_NAMESPACE, key, marshal.dumps(code))
         namespace: dict[str, object] = {}
         exec(code, namespace)
         module = _CompiledModule(

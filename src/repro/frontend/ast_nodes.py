@@ -8,27 +8,35 @@ pointer heuristic needs to know that a comparison's operand is a pointer.
 Every node carries a :class:`SourceLocation` and a ``node_id`` unique
 within its translation unit, used to key CFG blocks and profile events
 back to syntax.  The counter restarts at every translation unit (see
-:func:`reset_node_counter`), so ids are a pure function of the source
-text — required for profiles cached on disk or computed in worker
-processes to mean the same thing everywhere.
+:func:`reset_node_counter`) and is per thread, so parses overlapping on
+several threads (the daemon's workers) never interleave their ids: ids
+are a pure function of the source text — required for profiles cached
+on disk or computed in worker processes to mean the same thing
+everywhere.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.frontend.ctypes import CType, FunctionType
 from repro.frontend.errors import SourceLocation
 
-_node_counter = itertools.count(1)
+class _Numbering(threading.local):
+    def __init__(self) -> None:
+        self.counter = itertools.count(1)
+
+
+_numbering = _Numbering()
 
 
 def reset_node_counter() -> None:
-    """Restart node numbering (called at the start of each parse)."""
-    global _node_counter
-    _node_counter = itertools.count(1)
+    """Restart this thread's node numbering (called at the start of
+    each parse)."""
+    _numbering.counter = itertools.count(1)
 
 
 @dataclass
@@ -38,7 +46,7 @@ class Node:
     location: SourceLocation = field(
         default_factory=SourceLocation, repr=False
     )
-    node_id: int = field(default_factory=lambda: next(_node_counter))
+    node_id: int = field(default_factory=lambda: next(_numbering.counter))
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes; default is no children."""

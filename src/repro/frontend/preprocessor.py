@@ -72,7 +72,8 @@ class Preprocessor:
         self._include_stack.append(filename)
         try:
             lines = self._process_lines(
-                _splice_continuations(_strip_comments(text)), filename
+                _splice_continuations(_strip_comments(text, filename)),
+                filename,
             )
         finally:
             self._include_stack.pop()
@@ -229,7 +230,7 @@ class Preprocessor:
         self._include_stack.append(target)
         try:
             return self._process_lines(
-                _splice_continuations(_strip_comments(text)), target
+                _splice_continuations(_strip_comments(text, target)), target
             )
         finally:
             self._include_stack.pop()
@@ -383,8 +384,11 @@ class Preprocessor:
 # Text utilities.
 
 
-def _strip_comments(text: str) -> str:
-    """Replace comments with spaces, preserving newlines and literals."""
+def _strip_comments(text: str, filename: str) -> str:
+    """Replace comments with spaces, preserving newlines and literals.
+
+    An unterminated block comment is an error at its ``/*``.
+    """
     result: list[str] = []
     index = 0
     length = len(text)
@@ -398,19 +402,18 @@ def _strip_comments(text: str) -> str:
             while index < length and text[index] != "\n":
                 index += 1
         elif ch == "/" and index + 1 < length and text[index + 1] == "*":
-            index += 2
-            result.append(" ")
-            while index < length:
-                if text[index] == "\n":
-                    result.append("\n")
-                if (
-                    text[index] == "*"
-                    and index + 1 < length
-                    and text[index + 1] == "/"
-                ):
-                    index += 2
-                    break
-                index += 1
+            end = text.find("*/", index + 2)
+            if end < 0:
+                raise PreprocessorError(
+                    "unterminated block comment",
+                    SourceLocation(
+                        filename,
+                        text.count("\n", 0, index) + 1,
+                        index - text.rfind("\n", 0, index),
+                    ),
+                )
+            result.append(" " + "\n" * text.count("\n", index, end))
+            index = end + 2
         else:
             result.append(ch)
             index += 1

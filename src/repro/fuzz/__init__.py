@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from repro.fuzz.corpus import (
     case_key,
-    clear_corpus,
     corpus_dir,
-    corpus_info,
     list_cases,
+    load_case,
     load_metadata,
     resolve_case,
     save_case,
@@ -58,10 +57,9 @@ __all__ = [
     "check_program",
     "oracle_names",
     "case_key",
-    "clear_corpus",
     "corpus_dir",
-    "corpus_info",
     "list_cases",
+    "load_case",
     "load_metadata",
     "resolve_case",
     "save_case",

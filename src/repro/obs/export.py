@@ -157,15 +157,15 @@ def render_span_tree(
 def stats_file_path() -> str:
     """Where the end-of-command metrics snapshot lives.
 
-    An ``obs/`` subdirectory of the profile cache keeps the snapshot
-    out of the cache's own entry accounting (``repro cache info``).
+    An ``obs/`` subdirectory of the store root keeps the snapshot out
+    of the store's namespaces (``repro cache info``).
     """
     explicit = os.environ.get("REPRO_STATS_FILE")
     if explicit:
         return explicit
-    from repro.profiles import cache as profile_cache
+    from repro import store
 
-    return os.path.join(profile_cache.cache_dir(), "obs", "stats.json")
+    return os.path.join(store.root(), "obs", "stats.json")
 
 
 def write_stats(path: Optional[str] = None) -> Optional[str]:

@@ -4,9 +4,10 @@ import os
 
 import pytest
 
-from repro.analysis import cache as analysis_cache
+from repro import store
 from repro.analysis.session import (
     AnalysisSession,
+    analysis_key,
     clear_sessions,
     record_stage,
     session_for_source,
@@ -169,13 +170,12 @@ class TestStageAccumulator:
 
 
 class TestDiskLayer:
-    def test_roundtrip_via_cache_dir(self, tmp_path, monkeypatch, program):
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE_DIR", str(tmp_path))
+    def test_roundtrip_via_cache_dir(self, store_root, program):
         session = AnalysisSession.of(program)
         estimates = session.intra_estimates("smart")
         invocations = session.invocations("markov", "smart")
         assert session.stats.disk_stores == 2
-        assert analysis_cache.analysis_cache_info()["entries"] == 2
+        assert store.info("analysis")["entries"] == 2
 
         # A brand-new session (fresh process stand-in) loads from disk.
         fresh = AnalysisSession(
@@ -191,59 +191,41 @@ class TestDiskLayer:
             for block_id in blocks
         )
 
-    def test_disabled_by_env(self, tmp_path, monkeypatch, program):
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "0")
+    def test_disabled_by_env(self, store_root, monkeypatch, program):
+        monkeypatch.setenv("REPRO_CACHE", "0")
         session = AnalysisSession.of(program)
         session.intra_estimates("smart")
         assert session.stats.disk_stores == 0
-        assert not os.listdir(tmp_path)
+        assert not store_root.exists()
 
-    def test_stale_function_set_misses(self, tmp_path, monkeypatch, program):
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE_DIR", str(tmp_path))
-        key = analysis_cache.analysis_cache_key(
-            program.source, "intra", "smart"
-        )
-        analysis_cache.store_analysis(
-            key, {"functions": {"other": {"0": 1.0}}}
-        )
+    def test_stale_function_set_misses(self, store_root, program):
+        key = analysis_key(program.source, "intra", "smart")
+        store.put("analysis", key, b'{"functions":{"other":{"0":1.0}}}')
         session = AnalysisSession.of(program)
         estimates = session.intra_estimates("smart")
         assert session.stats.disk_hits == 0
         assert set(estimates) == set(program.function_names)
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path, monkeypatch, program):
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE_DIR", str(tmp_path))
-        key = analysis_cache.analysis_cache_key(
-            program.source, "intra", "smart"
-        )
-        (tmp_path / f"{key}.json").write_text("{not json")
+    def test_corrupt_entry_is_a_miss(self, store_root, program):
+        key = analysis_key(program.source, "intra", "smart")
+        (store_root / "analysis").mkdir(parents=True)
+        (store_root / "analysis" / key).write_text("{not json")
         session = AnalysisSession.of(program)
         assert session.intra_estimates("smart")
         assert session.stats.disk_hits == 0
 
     def test_key_varies_by_kind_and_source(self):
-        base = analysis_cache.analysis_cache_key("src", "intra", "smart")
-        assert base != analysis_cache.analysis_cache_key(
-            "src", "inter", "smart"
-        )
-        assert base != analysis_cache.analysis_cache_key(
-            "src2", "intra", "smart"
-        )
-        assert base != analysis_cache.analysis_cache_key(
-            "src", "intra", "markov"
-        )
+        base = analysis_key("src", "intra", "smart")
+        assert base != analysis_key("src", "inter", "smart")
+        assert base != analysis_key("src2", "intra", "smart")
+        assert base != analysis_key("src", "intra", "markov")
 
-    def test_clear_analysis_cache(self, tmp_path, monkeypatch, program):
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE_DIR", str(tmp_path))
+    def test_clear_analysis_cache(self, store_root, program):
         AnalysisSession.of(program).intra_estimates("smart")
-        assert analysis_cache.clear_analysis_cache() == 1
-        assert analysis_cache.analysis_cache_info()["entries"] == 0
+        assert store.clear("analysis") == 1
+        assert store.info("analysis")["entries"] == 0
 
-    def test_default_dir_nests_under_profile_cache(self, monkeypatch):
-        from repro.profiles import cache as profile_cache
-
-        monkeypatch.delenv("REPRO_ANALYSIS_CACHE_DIR", raising=False)
-        assert analysis_cache.analysis_cache_dir() == os.path.join(
-            profile_cache.cache_dir(), "analysis"
+    def test_default_dir_nests_under_profile_cache(self):
+        assert store.namespace_dir("analysis") == os.path.join(
+            store.root(), "analysis"
         )

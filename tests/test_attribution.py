@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro import obs
+from repro import obs, store
 from repro.attribution import (
     BranchRecord,
     ProgramExplanation,
@@ -24,7 +24,7 @@ from repro.attribution import (
     render_explanations,
     write_heatmaps,
 )
-from repro.attribution import cache as attribution_cache
+from repro.attribution.explain import attribution_key
 from repro.attribution.records import KNOWN_REASONS
 from repro.cfg.dot import cfg_to_dot
 from repro.cli import main
@@ -286,57 +286,49 @@ class TestHeatmap:
 
 class TestCache:
     def test_key_varies_with_inputs(self, compress_profiles):
-        key = attribution_cache.attribution_cache_key(
-            "int main(void){}", compress_profiles, "markov"
+        key = attribution_key(
+            "p", "int main(void){}", compress_profiles, "markov"
         )
-        assert key != attribution_cache.attribution_cache_key(
-            "int main(void){return 1;}", compress_profiles, "markov"
+        assert key != attribution_key(
+            "p", "int main(void){return 1;}", compress_profiles, "markov"
         )
-        assert key != attribution_cache.attribution_cache_key(
-            "int main(void){}", compress_profiles, "smart"
+        assert key != attribution_key(
+            "p", "int main(void){}", compress_profiles, "smart"
         )
-        assert key != attribution_cache.attribution_cache_key(
-            "int main(void){}", compress_profiles[:1], "markov"
+        assert key != attribution_key(
+            "p", "int main(void){}", compress_profiles[:1], "markov"
+        )
+        assert key != attribution_key(
+            "q", "int main(void){}", compress_profiles, "markov"
         )
         # Stable across calls.
-        assert key == attribution_cache.attribution_cache_key(
-            "int main(void){}", compress_profiles, "markov"
+        assert key == attribution_key(
+            "p", "int main(void){}", compress_profiles, "markov"
         )
 
-    def test_store_load_round_trip(self, tmp_path):
-        directory = str(tmp_path / "attr")
-        payload = {"program": "x", "records": [1, 2, 3]}
+    def test_store_load_round_trip(self, store_root):
+        payload = b'{"program":"x","records":[1,2,3]}'
         key = "k" * 64
-        assert (
-            attribution_cache.load_cached_explanation(key, directory)
-            is None
-        )
-        attribution_cache.store_explanation(key, payload, directory)
-        assert (
-            attribution_cache.load_cached_explanation(key, directory)
-            == payload
-        )
+        assert store.get("attribution", key) is None
+        store.put("attribution", key, payload)
+        assert store.get("attribution", key) == payload
 
-    def test_info_and_clear(self, tmp_path, monkeypatch):
-        directory = str(tmp_path / "attr")
-        monkeypatch.setenv("REPRO_ATTRIBUTION_CACHE_DIR", directory)
-        assert attribution_cache.attribution_cache_dir() == directory
-        attribution_cache.store_explanation("a" * 64, {"x": 1})
-        info = attribution_cache.attribution_cache_info()
+    def test_info_and_clear(self, store_root):
+        store.put("attribution", "a" * 64, b'{"x":1}')
+        info = store.info("attribution")
+        assert info["directory"] == str(store_root / "attribution")
         assert info["entries"] == 1
         assert info["bytes"] > 0
         assert info["enabled"] is True
-        assert attribution_cache.clear_attribution_cache() == 1
-        assert (
-            attribution_cache.attribution_cache_info()["entries"] == 0
-        )
+        assert store.clear("attribution") == 1
+        assert store.info("attribution")["entries"] == 0
 
-    def test_disabled_by_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ATTRIBUTION_CACHE", "0")
-        assert not attribution_cache.attribution_cache_enabled()
-        monkeypatch.setenv("REPRO_ATTRIBUTION_CACHE", "1")
+    def test_disabled_by_knobs(self, store_root, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
-        assert not attribution_cache.attribution_cache_enabled()
+        assert store.info("attribution")["enabled"] is False
+        store.put("attribution", "a" * 64, b"{}")
+        assert store.get("attribution", "a" * 64) is None
+        assert not store_root.exists()
 
 
 class TestExplain:

@@ -25,7 +25,7 @@ from repro.compile import (
     resolve_backend,
     run_program_backend,
 )
-from repro.compile import cache as codegen_cache
+from repro.compile.backend import codegen_key
 from repro.interp.machine import Machine
 from repro.profiles.serialize import dumps_profile
 from repro.program import Program
@@ -269,33 +269,34 @@ def test_result_types_cover_every_builtin():
 # The codegen cache.
 
 
-def test_codegen_cache_round_trip(tmp_path):
+def test_codegen_cache_round_trip(store_root):
+    import marshal
+
+    from repro import store
+
     program = registry.load_program("xl00")
     from repro.compile.lower import lower_program
 
     lowered = lower_program(program)
-    key = codegen_cache.codegen_cache_key(program.source)
-    directory = str(tmp_path)
-    assert codegen_cache.load_cached_code(key, directory) is None
+    key = codegen_key(program.source)
+    assert store.get("codegen", key) is None
     code = compile(lowered.source, "<test>", "exec")
-    codegen_cache.store_code(key, lowered.source, code, directory)
-    loaded = codegen_cache.load_cached_code(key, directory)
-    assert loaded is not None
+    store.put("codegen", key, marshal.dumps(code))
     namespace: dict[str, object] = {}
-    exec(loaded, namespace)
+    exec(marshal.loads(store.get("codegen", key)), namespace)
     assert set(namespace["FACTORIES"]) == set(
         program.function_names
     ) - set(lowered.fallback)
-    info = codegen_cache.codegen_cache_info(directory)
-    assert info["entries"] == 2  # .py source + .code marshal blob
+    info = store.info("codegen")
+    assert info["entries"] == 1
     assert info["bytes"] > 0
-    assert codegen_cache.clear_codegen_cache(directory) == 2
-    assert codegen_cache.codegen_cache_info(directory)["entries"] == 0
+    assert store.clear("codegen") == 1
+    assert store.info("codegen")["entries"] == 0
 
 
 def test_codegen_cache_key_tracks_compile_version(monkeypatch):
     source = "int main(void) { return 0; }"
-    before = codegen_cache.codegen_cache_key(source)
+    before = codegen_key(source)
     import repro.compile
 
     monkeypatch.setattr(
@@ -303,8 +304,8 @@ def test_codegen_cache_key_tracks_compile_version(monkeypatch):
         "COMPILE_VERSION",
         repro.compile.COMPILE_VERSION + 1,
     )
-    assert codegen_cache.codegen_cache_key(source) != before
-    assert codegen_cache.codegen_cache_key("int x;") != before
+    assert codegen_key(source) != before
+    assert codegen_key("int x;") != before
 
 
 def test_lowered_source_is_deterministic():
@@ -440,7 +441,7 @@ def test_oracle_detects_profile_divergence():
     assert violations and "profile" in violations[0]
 
 
-def test_compile_metrics_and_spans(monkeypatch, tmp_path):
+def test_compile_metrics_and_spans(store_root):
     """The obs layer sees codegen: compile.* spans under tracing and
     compile.* counters in the metrics registry."""
     from repro.obs import (
@@ -450,7 +451,6 @@ def test_compile_metrics_and_spans(monkeypatch, tmp_path):
         trace_roots,
     )
 
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", str(tmp_path))
     program = Program.from_source(
         "int main(void) { return 0; }", "<obs-compile>"
     )
@@ -471,4 +471,5 @@ def test_compile_metrics_and_spans(monkeypatch, tmp_path):
     assert "compile.lower" in names
     assert delta.get("compile.functions", {}).get("value", 0) >= 1
     assert "compile.source_bytes" in delta
-    assert "compile.cache.stores" in delta
+    assert "store.stores{ns=codegen}" in delta
+    assert "store.put" in names

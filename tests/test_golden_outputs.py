@@ -100,6 +100,18 @@ def test_goldens_cover_every_experiment():
     assert set(goldens["experiments"]) == set(EXPERIMENTS)
 
 
+@pytest.mark.parametrize("name", _experiment_cases())
+def test_results_txt_carries_every_golden_render(name, goldens):
+    """The committed ``RESULTS.txt`` shows each experiment exactly as
+    the code renders it."""
+    results = os.path.join(
+        os.path.dirname(os.path.dirname(GOLDEN_PATH)), "RESULTS.txt"
+    )
+    with open(results, encoding="utf-8") as handle:
+        text = handle.read()
+    assert goldens["experiments"][name] in text, name
+
+
 def _regenerate():
     from repro.experiments import EXPERIMENTS, run_experiment
     from repro.suite import program_inputs, program_names, run_on_input

@@ -452,3 +452,47 @@ class TestCompileSource:
         unit = compile_source("int a(void){return 0;}")
         with pytest.raises(KeyError):
             unit.function("nope")
+
+
+class TestOverlappingParses:
+    def test_overlapping_parses_give_the_lone_parse_report(
+        self, monkeypatch
+    ):
+        """Node ids are per parse: two parses overlapping on two
+        threads (as on the daemon's workers) give exactly the reports
+        each gives alone."""
+        import json
+        import threading
+
+        from repro.analysis.session import AnalysisSession
+        from repro.program import Program
+        from repro.serve.report import build_report
+        from repro.suite import program_source
+
+        monkeypatch.setenv("REPRO_CACHE", "0")
+
+        def analyze(name):
+            session = AnalysisSession(
+                Program.from_source(program_source(name), f"{name}.c")
+            )
+            return json.dumps(
+                build_report(session, name=f"{name}.c"), sort_keys=True
+            )
+
+        names = ("gs", "bison")
+        expected = [analyze(name) for name in names]
+        for _ in range(5):
+            got = [""] * len(names)
+
+            def work(index):
+                got[index] = analyze(names[index])
+
+            threads = [
+                threading.Thread(target=work, args=(index,))
+                for index in range(len(names))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert got == expected

@@ -217,6 +217,28 @@ class TestLineHandling:
         result = preprocess("GUESS", predefined={"GUESS": "42"})
         assert "42" in result
 
+    def test_unterminated_block_comment_raises_at_its_opening(self):
+        with pytest.raises(PreprocessorError) as info:
+            preprocess("int main(void){ return 0; } /* x", "f.c")
+        assert info.value.diagnostic() == (
+            "f.c:1:29: unterminated block comment"
+        )
+
+    def test_unterminated_block_comment_on_a_later_line(self):
+        with pytest.raises(PreprocessorError) as info:
+            preprocess(
+                "int a; /* ok */\n\n  /* never closed\nint b;\n", "g.c"
+            )
+        assert info.value.diagnostic() == (
+            "g.c:3:3: unterminated block comment"
+        )
+
+    def test_unterminated_block_comment_rejected_by_the_frontend(self):
+        from repro.frontend import compile_source
+
+        with pytest.raises(PreprocessorError, match="unterminated"):
+            compile_source("int main(void){ return 0; } /* x")
+
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -232,7 +254,13 @@ from hypothesis import strategies as st
 )
 def test_preprocess_idempotent_on_directive_free_text(text):
     """Directive-free, macro-free text passes through and is a fixed
-    point of preprocessing."""
-    once = preprocess(text)
+    point of preprocessing; the one rejection it can meet is an
+    unterminated block comment."""
+    try:
+        once = preprocess(text)
+    except PreprocessorError as error:
+        assert error.message == "unterminated block comment"
+        assert "/*" in text
+        return
     twice = preprocess(once)
     assert preprocess(twice) == twice

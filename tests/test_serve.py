@@ -575,6 +575,18 @@ class TestHttpEndpoints:
         assert "Traceback" not in response.text
         assert counter_value("serve.frontend_errors") - before == 1
 
+    def test_unterminated_comment_is_structured_400(self, client):
+        response = client.analyze(
+            "int main(void){ return 0; } /* x", name="open.c"
+        )
+        assert response.status == 400
+        assert response.payload["error"] == "unterminated block comment"
+        assert (
+            response.payload["file"],
+            response.payload["line"],
+            response.payload["col"],
+        ) == ("open.c", 1, 29)
+
     def test_malformed_json_is_400(self, client):
         response = client._request(
             "POST", "/v1/analyze", body=b"{not json"
