@@ -5,7 +5,9 @@ Starts ``python -m repro serve`` as a real subprocess, waits for its
 ready line, fires a 64-way concurrent burst mixing repeat sources,
 novel sources, and one malformed source (the structured-400 path),
 then checks ``/metrics`` for session-pool hits and per-tenant
-counters.  It then exercises the observability surface: a W3C
+counters, and posts deeply nested bodies that must each get a 400
+with a trace id and a ``file:line:col`` diagnostic while the 5xx
+counter stays still.  It then exercises the observability surface: a W3C
 ``traceparent`` round-trip, flight-recorder retention of injected
 errors (``/debug/traces?kind=errors``), span trees on ``/debug/slow``,
 and an on-demand flamegraph from ``/debug/profile``.  Finally it fires
@@ -48,6 +50,19 @@ REPEATS = 8
 DRAIN_WAVE = 16
 
 MALFORMED = "int main( { return 0 }\n"
+
+#: Nesting deeper than the parser's limit; each must be a 400 naming
+#: the offending token, never a 500.
+HOSTILE = {
+    "3000 parentheses": (
+        "int main(void) { return " + "(" * 3000 + "0" + ")" * 3000 + "; }"
+    ),
+    "2000 blocks": "int main(void) " + "{" * 2000 + "}" * 2000,
+    "600-deep if chain": (
+        "int main(void) { int x = 1; " + "if (x) " * 600 + "x = 2; }"
+    ),
+    "5000 unary minus": "int main(void) { return " + "- " * 5000 + "1; }",
+}
 
 _CHECKS: list[bool] = []
 
@@ -194,6 +209,34 @@ def main() -> int:
             health.get("status") == "ok"
             and bool(health.get("version")),
             f"healthz ok, version {health.get('version')!r}",
+        )
+
+        # ------------------------------------------------------------
+        # Hostile bodies: too-deep nesting is the client's fault.
+        server_errors = _metric_value(
+            metrics, 'repro_serve_errors_total{class="5xx"}'
+        )
+        for label, source in HOSTILE.items():
+            response = probe.analyze(source, name="deep.c")
+            payload = response.payload or {}
+            check(
+                response.status == 400
+                and bool(response.trace_id)
+                and payload.get("trace_id") == response.trace_id
+                and payload.get("error") == "nesting too deep"
+                and payload.get("file") == "deep.c"
+                and payload.get("line", 0) >= 1
+                and payload.get("col", 0) >= 1,
+                f"{label} -> 400 with trace id and file:line:col "
+                f"(got {response.status}, {payload})",
+            )
+        after = _metric_value(
+            probe.metrics(), 'repro_serve_errors_total{class="5xx"}'
+        )
+        check(
+            after == server_errors,
+            f"hostile bodies left serve.errors{{class=5xx}} at "
+            f"{server_errors:.0f} (now {after:.0f})",
         )
 
         # ------------------------------------------------------------

@@ -127,18 +127,14 @@ def _count_address_taken(
     """
     counts: dict[str, int] = {}
     callee_ids: set[int] = set()
-    addressed_ids: set[int] = set()
+    # One pre-order walk: a call is visited before its callee
+    # identifier, so the identifier is known to be a callee by then.
     for node in unit.walk():
         if isinstance(node, ast.Call):
             target = _peel_callee(node.callee)
             if isinstance(target, ast.Identifier):
                 callee_ids.add(target.node_id)
-        elif isinstance(node, ast.AddressOf) and isinstance(
-            node.operand, ast.Identifier
-        ):
-            addressed_ids.add(node.operand.node_id)
-    for node in unit.walk():
-        if (
+        elif (
             isinstance(node, ast.Identifier)
             and node.binding == "function"
             and node.name in defined

@@ -27,7 +27,8 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from typing import Optional
+import types
+from typing import TYPE_CHECKING, Optional
 from weakref import WeakKeyDictionary
 
 from repro import store
@@ -40,6 +41,9 @@ from repro.interp.values import AggregateValue
 from repro.obs import incr, span
 from repro.profiles.profile import Profile
 from repro.program import Program
+
+if TYPE_CHECKING:
+    from repro.compile.lower import LoweredProgram
 
 #: Recognized backend names, in documentation order.
 BACKENDS = ("interp", "compiled")
@@ -148,11 +152,7 @@ def compile_program(program: Program) -> _CompiledModule:
             with span("compile.lower", program=program.name):
                 lowered = lower_program(program)
             incr("compile.source_bytes", len(lowered.source))
-            code = compile(
-                lowered.source,
-                f"<repro-codegen {program.name}>",
-                "exec",
-            )
+            code = _compile_lowered(program, lowered)
             store.put(CODEGEN_NAMESPACE, key, marshal.dumps(code))
         namespace: dict[str, object] = {}
         exec(code, namespace)
@@ -165,6 +165,37 @@ def compile_program(program: Program) -> _CompiledModule:
     incr("compile.fallback_functions", len(module.fallback))
     _MODULE_MEMO[program] = module
     return module
+
+
+def _compile_lowered(
+    program: Program, lowered: LoweredProgram
+) -> types.CodeType:
+    """Compile a lowered module.  Python's compiler caps how deeply
+    parentheses, blocks and its own recursion nest; if some function's
+    code exceeds a cap, lower again with those functions on the
+    per-function fallback."""
+    from repro.compile.lower import lower_program
+
+    filename = f"<repro-codegen {program.name}>"
+    try:
+        return compile(lowered.source, filename, "exec")
+    except (SyntaxError, RecursionError, MemoryError):
+        too_deep = frozenset(
+            name
+            for name, code in lowered.functions.items()
+            if not _compiles(code)
+        )
+        if not too_deep:
+            raise
+    return compile(lower_program(program, too_deep).source, filename, "exec")
+
+
+def _compiles(code: str) -> bool:
+    try:
+        compile(code, "<repro-codegen>", "exec")
+    except (SyntaxError, RecursionError, MemoryError):
+        return False
+    return True
 
 
 class CompiledMachine(Machine):

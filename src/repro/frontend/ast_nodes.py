@@ -53,10 +53,20 @@ class Node:
         return iter(())
 
     def walk(self) -> Iterator["Node"]:
-        """Pre-order traversal of this subtree."""
+        """Pre-order traversal of this subtree.
+
+        Iterative (a stack of child iterators), so a deep tree costs no
+        Python recursion.
+        """
         yield self
-        for child in self.children():
-            yield from child.walk()
+        stack = [self.children()]
+        while stack:
+            for child in stack[-1]:
+                yield child
+                stack.append(child.children())
+                break
+            else:
+                stack.pop()
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,12 @@ rejected the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A position in preprocessed source text.
+class SourceLocation(NamedTuple):
+    """A position in preprocessed source text (an immutable, hashable
+    record; a tuple because one is built per token).
 
     ``filename`` is the logical file name (tracks ``#include``), ``line``
     and ``column`` are 1-based.

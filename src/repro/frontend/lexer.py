@@ -1,8 +1,13 @@
-"""Hand-written lexer for the C subset.
+"""Regular-expression lexer for the C subset.
 
 The lexer consumes preprocessed text (comments may still be present; they
-are skipped here) and produces a list of :class:`Token`.  It tracks line
-and column so every downstream diagnostic can point at real source.
+are skipped here) and produces a list of :class:`Token` in one pass of
+one compiled master pattern.  Its named groups match whitespace,
+comments and stray ``#`` lines (all skipped), identifiers and keywords,
+numbers, whole character and string literals, the punctuators (longest
+spelling first), and — for diagnostics — an unclosed comment or literal
+and any other character.  Line and column come from newline offsets, so
+every downstream diagnostic can point at real source.
 
 Supported literal forms:
 
@@ -16,6 +21,9 @@ Supported literal forms:
 
 from __future__ import annotations
 
+import re
+from typing import NoReturn
+
 from repro.frontend.errors import LexError, SourceLocation
 from repro.frontend.tokens import KEYWORDS, PUNCTUATORS, Token, TokenKind
 
@@ -23,7 +31,6 @@ _SIMPLE_ESCAPES = {
     "n": "\n",
     "t": "\t",
     "r": "\r",
-    "0": "\0",
     "\\": "\\",
     "'": "'",
     '"': '"',
@@ -34,227 +41,148 @@ _SIMPLE_ESCAPES = {
     "?": "?",
 }
 
+_PUNCTUATOR_KINDS = dict(PUNCTUATORS)
 
-class Lexer:
-    """Tokenizes one translation unit's worth of text."""
+# Alternatives are tried in order.  ``[ \t]*`` skips the usual single
+# space before a token without a loop iteration of its own; it cannot
+# backtrack into a wrong token because only ``skip`` starts with a blank.
+# ``unclosed`` catches what opens a comment or literal that no earlier
+# alternative could close; ``unexpected`` catches everything else.
+_TOKEN_RE = re.compile(
+    r"""[ \t]*(?:
+      (?P<skip>[ \t\r\n\f\v]+|//[^\n]*|\#[^\n]*|/\*[\s\S]*?\*/)
+    | (?P<identifier>[^\W\d]\w*)
+    | (?P<number>0[xX][0-9a-fA-F]*[uUlL]*
+        | (?=\.?\d)\d*(?:\.(?!\.)\d*)?(?:[eE][+-]?\d+)?[uUlLfF]*)
+    | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+    | (?P<char>'(?:[^'\\\n]|\\(?:x[0-9a-fA-F]*|[0-7]{1,3}|[\s\S]))')
+    | (?P<unclosed>/\*|["'])
+    | (?P<punctuator>"""
+    + "|".join(re.escape(spelling) for spelling, _ in PUNCTUATORS)
+    + r""")
+    | (?P<unexpected>[\s\S])
+    )""",
+    re.VERBOSE,
+)
 
-    def __init__(self, text: str, filename: str = "<input>"):
-        self._text = text
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._column = 1
+# One escape sequence; an empty group is a backslash that ends the input.
+_ESCAPE_RE = re.compile(r"\\(x[0-9a-fA-F]*|[0-7]{1,3}|[\s\S]|\Z)")
+# A string literal's body: everything up to the closing quote, a newline,
+# or a backslash with nothing after it.
+_STRING_BODY_RE = re.compile(r'(?:[^"\\\n]|\\[\s\S])*')
 
-    def tokenize(self) -> list[Token]:
-        """Return all tokens in the input, ending with an EOF token."""
-        tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._text):
-                tokens.append(Token(TokenKind.EOF, "", self._location()))
-                return tokens
-            tokens.append(self._next_token())
-
-    # ------------------------------------------------------------------
-    # Scanning machinery.
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._filename, self._line, self._column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._text):
-            return self._text[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> str:
-        consumed = self._text[self._pos : self._pos + count]
-        for ch in consumed:
-            if ch == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-        self._pos += count
-        return consumed
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch in " \t\r\n\f\v":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while self._pos < len(self._text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start)
-            elif ch == "#":
-                # Stray directives (e.g. #line markers the preprocessor
-                # leaves behind) are skipped to end of line.
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._lex_identifier()
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number()
-        if ch == "'":
-            return self._lex_char()
-        if ch == '"':
-            return self._lex_string()
-        return self._lex_punctuator()
-
-    def _lex_identifier(self) -> Token:
-        location = self._location()
-        start = self._pos
-        while self._pos < len(self._text) and (
-            self._peek().isalnum() or self._peek() == "_"
-        ):
-            self._advance()
-        text = self._text[start : self._pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENTIFIER)
-        return Token(kind, text, location)
-
-    def _lex_number(self) -> Token:
-        location = self._location()
-        start = self._pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            if not self._is_hex_digit(self._peek()):
-                raise LexError("malformed hex literal", location)
-            while self._is_hex_digit(self._peek()):
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." and self._peek(1) != ".":
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() in ("e", "E") and (
-                self._peek(1).isdigit()
-                or (
-                    self._peek(1) in ("+", "-")
-                    and self._peek(2).isdigit()
-                )
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() in ("+", "-"):
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        body = self._text[start : self._pos]
-        suffix_start = self._pos
-        # Tuple membership, not substring membership: _peek() returns
-        # "" at end of input, and "" in "uUlLfF" would be True.
-        while self._peek() in ("u", "U", "l", "L", "f", "F"):
-            self._advance()
-        suffix = self._text[suffix_start : self._pos]
-        text = body + suffix
-        if is_float or "f" in suffix or "F" in suffix:
-            return Token(TokenKind.FLOAT_LITERAL, text, location, float(body))
-        if body.startswith(("0x", "0X")):
-            value = int(body, 16)
-        elif len(body) > 1 and body.startswith("0"):
-            try:
-                value = int(body, 8)  # C octal: 0777
-            except ValueError:
-                raise LexError(
-                    f"invalid octal literal {body}", location
-                ) from None
-        else:
-            value = int(body, 10)
-        return Token(TokenKind.INT_LITERAL, text, location, value)
-
-    @staticmethod
-    def _is_hex_digit(ch: str) -> bool:
-        return bool(ch) and ch in "0123456789abcdefABCDEF"
-
-    def _read_escape(self, location: SourceLocation) -> str:
-        """Consume one escape sequence body (after the backslash)."""
-        ch = self._peek()
-        if not ch:
-            raise LexError("unterminated escape sequence", location)
-        if ch == "x":
-            self._advance()
-            digits = ""
-            while self._is_hex_digit(self._peek()):
-                digits += self._advance()
-            if not digits:
-                raise LexError("\\x with no hex digits", location)
-            return chr(int(digits, 16))
-        if ch.isdigit():
-            digits = ""
-            while self._peek().isdigit() and len(digits) < 3:
-                digits += self._advance()
-            return chr(int(digits, 8))
-        if ch in _SIMPLE_ESCAPES:
-            self._advance()
-            return _SIMPLE_ESCAPES[ch]
-        raise LexError(f"unknown escape sequence \\{ch}", location)
-
-    def _lex_char(self) -> Token:
-        location = self._location()
-        start = self._pos
-        self._advance()  # opening quote
-        if self._peek() == "\\":
-            self._advance()
-            decoded = self._read_escape(location)
-        elif self._peek() in ("", "\n", "'"):
-            raise LexError("empty or unterminated character literal", location)
-        else:
-            decoded = self._advance()
-        if self._peek() != "'":
-            raise LexError("unterminated character literal", location)
-        self._advance()
-        text = self._text[start : self._pos]
-        return Token(TokenKind.CHAR_LITERAL, text, location, ord(decoded))
-
-    def _lex_string(self) -> Token:
-        location = self._location()
-        start = self._pos
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch in ("", "\n"):
-                raise LexError("unterminated string literal", location)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                chars.append(self._read_escape(location))
-            else:
-                chars.append(self._advance())
-        text = self._text[start : self._pos]
-        return Token(TokenKind.STRING_LITERAL, text, location, "".join(chars))
-
-    def _lex_punctuator(self) -> Token:
-        location = self._location()
-        remaining = self._text[self._pos :]
-        for spelling, kind in PUNCTUATORS:
-            if remaining.startswith(spelling):
-                self._advance(len(spelling))
-                return Token(kind, spelling, location)
-        raise LexError(f"unexpected character {self._peek()!r}", location)
+# Builds a Token or SourceLocation from a tuple of all its fields,
+# without the Python-level call their NamedTuple constructors add.
+_record = tuple.__new__
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    """Convenience wrapper: tokenize ``text`` in one call."""
-    return Lexer(text, filename).tokenize()
+    """Return all tokens in ``text``, ending with an EOF token."""
+    tokens: list[Token] = []
+    append = tokens.append
+    identifier = TokenKind.IDENTIFIER
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastgroup
+        start, end = match.span(group)
+        if group == "skip":
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, end) + 1
+            continue
+        location = _record(
+            SourceLocation, (filename, line, start - line_start + 1)
+        )
+        spelling = text[start:end]
+        if group == "identifier":
+            kind = KEYWORDS.get(spelling, identifier)
+            append(_record(Token, (kind, spelling, location, None)))
+        elif group == "punctuator":
+            kind = _PUNCTUATOR_KINDS[spelling]
+            append(_record(Token, (kind, spelling, location, None)))
+        elif group == "number":
+            append(_number(spelling, location))
+        elif group == "string":
+            value = _decode(spelling[1:-1], location)
+            append(Token(TokenKind.STRING_LITERAL, spelling, location, value))
+        elif group == "char":
+            value = ord(_decode(spelling[1:-1], location))
+            append(Token(TokenKind.CHAR_LITERAL, spelling, location, value))
+        elif group == "unclosed":
+            _diagnose_unclosed(text, start, location)
+        else:
+            raise LexError(f"unexpected character {spelling!r}", location)
+    location = SourceLocation(filename, line, len(text) - line_start + 1)
+    append(Token(TokenKind.EOF, "", location))
+    return tokens
+
+
+def _number(spelling: str, location: SourceLocation) -> Token:
+    """The token for one numeric spelling matched by the master pattern."""
+    if spelling[1:2] in ("x", "X"):
+        body = spelling.rstrip("uUlL")
+        if len(body) == 2:
+            raise LexError("malformed hex literal", location)
+        return Token(TokenKind.INT_LITERAL, spelling, location, int(body, 16))
+    body = spelling.rstrip("uUlLfF")
+    if "f" in spelling or "F" in spelling or not body.isdigit():
+        return Token(TokenKind.FLOAT_LITERAL, spelling, location, float(body))
+    if len(body) > 1 and body[0] == "0":
+        try:
+            value = int(body, 8)  # C octal: 0777
+        except ValueError:
+            raise LexError(f"invalid octal literal {body}", location) from None
+    else:
+        value = int(body, 10)
+    return Token(TokenKind.INT_LITERAL, spelling, location, value)
+
+
+def _diagnose_unclosed(
+    text: str, start: int, location: SourceLocation
+) -> NoReturn:
+    """Raise the error for the comment or literal opened at ``start``
+    that the master pattern could not match whole: the first escape
+    that fails to decode, else what left it unterminated."""
+    opener = text[start]
+    pos = start + 1
+    if opener == "/":
+        raise LexError("unterminated block comment", location)
+    if opener == '"':
+        pos = _STRING_BODY_RE.match(text, pos).end()
+        _decode(text[start + 1 : pos], location)
+        if text.startswith("\\", pos):
+            raise LexError("unterminated escape sequence", location)
+        raise LexError("unterminated string literal", location)
+    if text.startswith("\\", pos):
+        _escape(_ESCAPE_RE.match(text, pos), location)
+    elif text[pos : pos + 1] in ("", "\n", "'"):
+        raise LexError("empty or unterminated character literal", location)
+    raise LexError("unterminated character literal", location)
+
+
+def _decode(body: str, location: SourceLocation) -> str:
+    """Resolve the escape sequences in a literal's body."""
+    if "\\" not in body:
+        return body
+    return _ESCAPE_RE.sub(lambda escape: _escape(escape, location), body)
+
+
+def _escape(match: re.Match[str], location: SourceLocation) -> str:
+    """The character one escape sequence stands for."""
+    escape = match.group(1)
+    if not escape:
+        raise LexError("unterminated escape sequence", location)
+    if escape[0] == "x":
+        if len(escape) == 1:
+            raise LexError("\\x with no hex digits", location)
+        code = int(escape[1:], 16)
+        if code > 0x10FFFF:
+            raise LexError(f"hex escape \\{escape} out of range", location)
+        return chr(code)
+    if escape[0] in "01234567":
+        return chr(int(escape, 8))
+    if escape in _SIMPLE_ESCAPES:
+        return _SIMPLE_ESCAPES[escape]
+    raise LexError(f"unknown escape sequence \\{escape}", location)

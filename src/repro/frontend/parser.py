@@ -17,7 +17,7 @@ designated initializers.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from repro.frontend import ast_nodes as ast
 from repro.frontend import ctypes as ct
@@ -27,6 +27,7 @@ from repro.frontend.lexer import tokenize
 from repro.frontend.tokens import Token, TokenKind
 
 _K = TokenKind
+_T = TypeVar("_T")
 
 _TYPE_SPECIFIER_KINDS = {
     _K.KW_VOID,
@@ -67,22 +68,57 @@ _ASSIGNMENT_OPS = {
     _K.SHR_ASSIGN: ">>=",
 }
 
-# Binary operator precedence levels, weakest first.  (&& and || are
-# handled by these tables too but built as LogicalOp nodes.)
-_BINARY_LEVELS: list[dict[TokenKind, str]] = [
-    {_K.LOGICAL_OR: "||"},
-    {_K.LOGICAL_AND: "&&"},
-    {_K.PIPE: "|"},
-    {_K.CARET: "^"},
-    {_K.AMP: "&"},
-    {_K.EQ: "==", _K.NE: "!="},
-    {_K.LT: "<", _K.GT: ">", _K.LE: "<=", _K.GE: ">="},
-    {_K.SHL: "<<", _K.SHR: ">>"},
-    {_K.PLUS: "+", _K.MINUS: "-"},
-    {_K.STAR: "*", _K.SLASH: "/", _K.PERCENT: "%"},
-]
+#: Binary operators: token kind -> (precedence, spelling), loosest
+#: binding 1.  (&& and || are built as LogicalOp nodes.)
+BINARY_OPERATORS: dict[TokenKind, tuple[int, str]] = {
+    kind: (precedence, kind.value)
+    for precedence, kinds in enumerate(
+        (
+            (_K.LOGICAL_OR,),
+            (_K.LOGICAL_AND,),
+            (_K.PIPE,),
+            (_K.CARET,),
+            (_K.AMP,),
+            (_K.EQ, _K.NE),
+            (_K.LT, _K.GT, _K.LE, _K.GE),
+            (_K.SHL, _K.SHR),
+            (_K.PLUS, _K.MINUS),
+            (_K.STAR, _K.SLASH, _K.PERCENT),
+        ),
+        start=1,
+    )
+    for kind in kinds
+}
 
 _RELATIONAL_OPS = {"==", "!=", "<", ">", "<=", ">="}
+
+_PREFIX_OPERATORS = {
+    _K.INCREMENT,
+    _K.DECREMENT,
+    _K.AMP,
+    _K.STAR,
+    _K.MINUS,
+    _K.PLUS,
+    _K.BANG,
+    _K.TILDE,
+    _K.KW_SIZEOF,
+}
+
+_POSTFIX_OPERATORS = {
+    _K.LBRACKET,
+    _K.LPAREN,
+    _K.DOT,
+    _K.ARROW,
+    _K.INCREMENT,
+    _K.DECREMENT,
+}
+
+#: How deeply constructs may nest (blocks, statements, parentheses,
+#: operands, declarators, initializers) before the parse is rejected
+#: with "nesting too deep".  Every later stage — CFG construction, the
+#: heuristics, both executors, the report — recurses over the tree, so
+#: this bound keeps all of them within Python's default recursion limit.
+MAX_NESTING = 100
 
 
 class _Scope:
@@ -134,7 +170,11 @@ class Parser:
         builtin_functions: Optional[dict[str, ct.FunctionType]] = None,
     ):
         self._tokens = tokenize(text, filename)
+        # A second EOF lets _peek(1) read past the end without a bounds
+        # check (_take never moves past the first).
+        self._tokens.append(self._tokens[-1])
         self._pos = 0
+        self._depth = 0
         self._filename = filename
         self._global_scope = _Scope()
         self._scope = self._global_scope
@@ -165,11 +205,10 @@ class Parser:
     # Token helpers.
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
-    def _at(self, kind: TokenKind, offset: int = 0) -> bool:
-        return self._peek(offset).kind is kind
+    def _at(self, kind: TokenKind) -> bool:
+        return self._tokens[self._pos].kind is kind
 
     def _take(self) -> Token:
         token = self._tokens[self._pos]
@@ -194,6 +233,20 @@ class Parser:
 
     def _location(self) -> SourceLocation:
         return self._peek().location
+
+    def _nested(self, parse: Callable[..., _T], *args: object) -> _T:
+        """Run ``parse`` one nesting level deeper, within MAX_NESTING.
+
+        Every recursive descent into a nested construct goes through
+        here.  No ``finally`` restores the depth: an exception ends the
+        parse, and a Parser parses once.
+        """
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError("nesting too deep", self._peek().location)
+        result = parse(*args)
+        self._depth -= 1
+        return result
 
     # ------------------------------------------------------------------
     # Scopes.
@@ -357,11 +410,11 @@ class Parser:
         if self._accept(_K.LBRACE):
             elements: list[ast.Initializer] = []
             if not self._at(_K.RBRACE):
-                elements.append(self._parse_initializer())
+                elements.append(self._nested(self._parse_initializer))
                 while self._accept(_K.COMMA):
                     if self._at(_K.RBRACE):
                         break  # trailing comma
-                    elements.append(self._parse_initializer())
+                    elements.append(self._nested(self._parse_initializer))
             self._expect(_K.RBRACE, "initializer list")
             return ast.Initializer(location=location, elements=elements)
         return ast.Initializer(
@@ -429,7 +482,9 @@ class Parser:
             self._take()  # {
             members: list[tuple[str, ct.CType]] = []
             while not self._at(_K.RBRACE):
-                _, member_base = self._parse_declaration_specifiers()
+                _, member_base = self._nested(
+                    self._parse_declaration_specifiers
+                )
                 while True:
                     member_name, member_type, _ = self._parse_declarator(
                         member_base
@@ -479,7 +534,9 @@ class Parser:
             while not self._at(_K.RBRACE):
                 name_token = self._expect(_K.IDENTIFIER, "enum body")
                 if self._accept(_K.ASSIGN):
-                    value_expr = self._parse_conditional_expression()
+                    value_expr = self._nested(
+                        self._parse_conditional_expression
+                    )
                     value = self._fold_constant(value_expr)
                     next_value = value
                 self._scope.declare(
@@ -538,7 +595,9 @@ class Parser:
 
         if self._at(_K.LPAREN) and self._declarator_paren():
             self._take()
-            name, inner, param_names = self._parse_declarator_inner()
+            name, inner, param_names = self._nested(
+                self._parse_declarator_inner
+            )
             self._expect(_K.RPAREN, "declarator")
         elif self._at(_K.IDENTIFIER):
             name = self._take().text
@@ -551,15 +610,15 @@ class Parser:
                 length: Optional[int] = None
                 if not self._at(_K.RBRACKET):
                     length = self._fold_constant(
-                        self._parse_conditional_expression()
+                        self._nested(self._parse_conditional_expression)
                     )
                 self._expect(_K.RBRACKET, "array declarator")
                 suffixes.append(
                     lambda t, length=length: ct.ArrayType(t, length)
                 )
             elif self._at(_K.LPAREN):
-                params, variadic, names, unspecified = (
-                    self._parse_parameter_list()
+                params, variadic, names, unspecified = self._nested(
+                    self._parse_parameter_list
                 )
                 if not param_names:
                     param_names = names
@@ -650,6 +709,9 @@ class Parser:
         return list(declarations)
 
     def _parse_statement(self) -> ast.Statement:
+        return self._nested(self._parse_unnested_statement)
+
+    def _parse_unnested_statement(self) -> ast.Statement:
         token = self._peek()
         if token.kind is _K.LBRACE:
             return self._parse_compound()
@@ -846,7 +908,7 @@ class Parser:
         token = self._peek()
         if token.kind in _ASSIGNMENT_OPS:
             self._take()
-            right = self._parse_assignment_expression()
+            right = self._nested(self._parse_assignment_expression)
             return ast.Assignment(
                 location=token.location,
                 op=_ASSIGNMENT_OPS[token.kind],
@@ -857,13 +919,13 @@ class Parser:
         return left
 
     def _parse_conditional_expression(self) -> ast.Expression:
-        condition = self._parse_binary_expression(0)
+        condition = self._parse_binary_expression()
         if not self._at(_K.QUESTION):
             return condition
         location = self._take().location
-        then_expr = self._parse_expression()
+        then_expr = self._nested(self._parse_expression)
         self._expect(_K.COLON, "conditional expression")
-        else_expr = self._parse_conditional_expression()
+        else_expr = self._nested(self._parse_conditional_expression)
         ctype = _conditional_type(then_expr.ctype, else_expr.ctype)
         return ast.Conditional(
             location=location,
@@ -873,16 +935,21 @@ class Parser:
             ctype=ctype,
         )
 
-    def _parse_binary_expression(self, level: int) -> ast.Expression:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_cast_expression()
-        left = self._parse_binary_expression(level + 1)
-        table = _BINARY_LEVELS[level]
-        while self._peek().kind in table:
-            token = self._take()
-            op = table[token.kind]
-            right = self._parse_binary_expression(level + 1)
-            if op in ("&&", "||"):
+    def _parse_binary_expression(
+        self, min_precedence: int = 1
+    ) -> ast.Expression:
+        """Precedence climbing over :data:`BINARY_OPERATORS`: operators of one
+        precedence associate left; tighter ones parse as right operands."""
+        left = self._parse_cast_expression()
+        while True:
+            token = self._tokens[self._pos]
+            entry = BINARY_OPERATORS.get(token.kind)
+            if entry is None or entry[0] < min_precedence:
+                return left
+            precedence, op = entry
+            self._pos += 1
+            right = self._nested(self._parse_binary_expression, precedence + 1)
+            if op == "&&" or op == "||":
                 left = ast.LogicalOp(
                     location=token.location,
                     op=op,
@@ -898,14 +965,13 @@ class Parser:
                     right=right,
                     ctype=_binary_type(op, left, right),
                 )
-        return left
 
     def _parse_cast_expression(self) -> ast.Expression:
         if self._at(_K.LPAREN) and self._starts_type_name(1):
             location = self._take().location
             target_type = self._parse_type_name()
             self._expect(_K.RPAREN, "cast")
-            operand = self._parse_cast_expression()
+            operand = self._nested(self._parse_cast_expression)
             return ast.Cast(
                 location=location,
                 target_type=target_type,
@@ -924,23 +990,20 @@ class Parser:
 
     def _parse_type_name(self) -> ct.CType:
         _, base = self._parse_declaration_specifiers()
-        name, full_type, _ = self._parse_abstract_declarator(base)
+        # An abstract declarator: the declarator grammar with no name.
+        name, full_type, _ = self._parse_declarator(base)
         if name:
             raise ParseError("unexpected name in type name", self._location())
         return full_type
 
-    def _parse_abstract_declarator(
-        self, base: ct.CType
-    ) -> tuple[str, ct.CType, list[str]]:
-        # Abstract declarators reuse the normal declarator machinery;
-        # a missing identifier simply leaves name empty.
-        return self._parse_declarator(base)
-
     def _parse_unary_expression(self) -> ast.Expression:
-        token = self._peek()
-        if token.kind is _K.INCREMENT or token.kind is _K.DECREMENT:
-            self._take()
-            operand = self._parse_unary_expression()
+        token = self._tokens[self._pos]
+        kind = token.kind
+        if kind not in _PREFIX_OPERATORS:
+            return self._parse_postfix_expression()
+        self._pos += 1
+        if kind is _K.INCREMENT or kind is _K.DECREMENT:
+            operand = self._nested(self._parse_unary_expression)
             return ast.IncDec(
                 location=token.location,
                 op=token.text,
@@ -948,26 +1011,23 @@ class Parser:
                 operand=operand,
                 ctype=operand.ctype,
             )
-        if token.kind is _K.AMP:
-            self._take()
-            operand = self._parse_cast_expression()
+        if kind is _K.AMP:
+            operand = self._nested(self._parse_cast_expression)
             pointee = operand.ctype or ct.INT
             return ast.AddressOf(
                 location=token.location,
                 operand=operand,
                 ctype=ct.PointerType(pointee),
             )
-        if token.kind is _K.STAR:
-            self._take()
-            operand = self._parse_cast_expression()
+        if kind is _K.STAR:
+            operand = self._nested(self._parse_cast_expression)
             ctype = _pointee_type(operand.ctype)
             return ast.Dereference(
                 location=token.location, operand=operand, ctype=ctype
             )
-        if token.kind in (_K.MINUS, _K.PLUS, _K.BANG, _K.TILDE):
-            self._take()
-            operand = self._parse_cast_expression()
-            if token.kind is _K.BANG:
+        if kind is not _K.KW_SIZEOF:  # - + ! ~
+            operand = self._nested(self._parse_cast_expression)
+            if kind is _K.BANG:
                 ctype: ct.CType = ct.INT
             else:
                 ctype = ct.integer_promote(operand.ctype or ct.INT)
@@ -977,30 +1037,30 @@ class Parser:
                 operand=operand,
                 ctype=ctype,
             )
-        if token.kind is _K.KW_SIZEOF:
+        if self._at(_K.LPAREN) and self._starts_type_name(1):
             self._take()
-            if self._at(_K.LPAREN) and self._starts_type_name(1):
-                self._take()
-                queried = self._parse_type_name()
-                self._expect(_K.RPAREN, "sizeof")
-                return ast.SizeofType(
-                    location=token.location,
-                    queried_type=queried,
-                    ctype=ct.ULONG,
-                )
-            operand = self._parse_unary_expression()
-            return ast.SizeofExpr(
-                location=token.location, operand=operand, ctype=ct.ULONG
+            queried = self._parse_type_name()
+            self._expect(_K.RPAREN, "sizeof")
+            return ast.SizeofType(
+                location=token.location,
+                queried_type=queried,
+                ctype=ct.ULONG,
             )
-        return self._parse_postfix_expression()
+        operand = self._nested(self._parse_unary_expression)
+        return ast.SizeofExpr(
+            location=token.location, operand=operand, ctype=ct.ULONG
+        )
 
     def _parse_postfix_expression(self) -> ast.Expression:
         expression = self._parse_primary_expression()
         while True:
-            token = self._peek()
-            if token.kind is _K.LBRACKET:
-                self._take()
-                index = self._parse_expression()
+            token = self._tokens[self._pos]
+            kind = token.kind
+            if kind not in _POSTFIX_OPERATORS:
+                return expression
+            self._pos += 1
+            if kind is _K.LBRACKET:
+                index = self._nested(self._parse_expression)
                 self._expect(_K.RBRACKET, "subscript")
                 base_type = ct.decay(expression.ctype or ct.VOID_PTR)
                 element = _pointee_type(base_type)
@@ -1010,13 +1070,16 @@ class Parser:
                     index=index,
                     ctype=element,
                 )
-            elif token.kind is _K.LPAREN:
-                self._take()
+            elif kind is _K.LPAREN:
                 arguments: list[ast.Expression] = []
                 if not self._at(_K.RPAREN):
-                    arguments.append(self._parse_assignment_expression())
+                    arguments.append(
+                        self._nested(self._parse_assignment_expression)
+                    )
                     while self._accept(_K.COMMA):
-                        arguments.append(self._parse_assignment_expression())
+                        arguments.append(
+                            self._nested(self._parse_assignment_expression)
+                        )
                 self._expect(_K.RPAREN, "call")
                 expression = ast.Call(
                     location=token.location,
@@ -1024,10 +1087,9 @@ class Parser:
                     arguments=arguments,
                     ctype=_call_return_type(expression.ctype),
                 )
-            elif token.kind is _K.DOT or token.kind is _K.ARROW:
-                self._take()
+            elif kind is _K.DOT or kind is _K.ARROW:
                 name = self._expect(_K.IDENTIFIER, "member access").text
-                arrow = token.kind is _K.ARROW
+                arrow = kind is _K.ARROW
                 base_type = expression.ctype
                 if arrow:
                     base_type = _pointee_type(base_type)
@@ -1043,8 +1105,7 @@ class Parser:
                     arrow=arrow,
                     ctype=member_type,
                 )
-            elif token.kind is _K.INCREMENT or token.kind is _K.DECREMENT:
-                self._take()
+            else:  # ++ or --
                 expression = ast.IncDec(
                     location=token.location,
                     op=token.text,
@@ -1052,11 +1113,12 @@ class Parser:
                     operand=expression,
                     ctype=expression.ctype,
                 )
-            else:
-                return expression
 
     def _parse_primary_expression(self) -> ast.Expression:
         token = self._peek()
+        if token.kind is _K.IDENTIFIER:
+            self._take()
+            return self._resolve_identifier(token)
         if token.kind is _K.INT_LITERAL:
             self._take()
             return ast.IntLiteral(
@@ -1088,12 +1150,9 @@ class Parser:
                 value=value,
                 ctype=ct.ArrayType(ct.CHAR, len(value) + 1),
             )
-        if token.kind is _K.IDENTIFIER:
-            self._take()
-            return self._resolve_identifier(token)
         if token.kind is _K.LPAREN:
             self._take()
-            expression = self._parse_expression()
+            expression = self._nested(self._parse_expression)
             self._expect(_K.RPAREN, "parenthesized expression")
             return expression
         raise ParseError(

@@ -23,8 +23,12 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.frontend.errors import PreprocessorError, SourceLocation
+from repro.frontend.lexer import tokenize
+from repro.frontend.parser import BINARY_OPERATORS
+from repro.frontend.tokens import TokenKind
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _MAX_EXPANSION_DEPTH = 64
@@ -253,10 +257,7 @@ class Preprocessor:
             _replace_defined(text, self._macros), location
         )
         # Remaining identifiers evaluate to 0, per the C standard.
-        expanded = _IDENTIFIER_RE.sub(
-            lambda match: "0" if match.group(0) not in ("defined",) else "0",
-            expanded,
-        )
+        expanded = _IDENTIFIER_RE.sub("0", expanded)
         try:
             value = _ConditionParser(expanded, location).parse()
         except PreprocessorError:
@@ -384,40 +385,45 @@ class Preprocessor:
 # Text utilities.
 
 
+# A literal (kept whole), a line comment, a block comment, or what is
+# left when neither kind of literal nor a block comment terminates.
+_COMMENT_RE = re.compile(
+    r"""(?P<literal>"(?:\\[\s\S]|[^"\\\n])*"|'(?:\\[\s\S]|[^'\\\n])*')
+    |(?P<line>//[^\n]*)
+    |(?P<block>/\*[\s\S]*?\*/)
+    |(?P<open_literal>["'])
+    |(?P<open_block>/\*)""",
+    re.VERBOSE,
+)
+
+
 def _strip_comments(text: str, filename: str) -> str:
     """Replace comments with spaces, preserving newlines and literals.
 
     An unterminated block comment is an error at its ``/*``.
     """
-    result: list[str] = []
-    index = 0
-    length = len(text)
-    while index < length:
-        ch = text[index]
-        if ch in "\"'":
-            end = _skip_literal(text, index, SourceLocation())
-            result.append(text[index:end])
-            index = end
-        elif ch == "/" and index + 1 < length and text[index + 1] == "/":
-            while index < length and text[index] != "\n":
-                index += 1
-        elif ch == "/" and index + 1 < length and text[index + 1] == "*":
-            end = text.find("*/", index + 2)
-            if end < 0:
-                raise PreprocessorError(
-                    "unterminated block comment",
-                    SourceLocation(
-                        filename,
-                        text.count("\n", 0, index) + 1,
-                        index - text.rfind("\n", 0, index),
-                    ),
-                )
-            result.append(" " + "\n" * text.count("\n", index, end))
-            index = end + 2
-        else:
-            result.append(ch)
-            index += 1
-    return "".join(result)
+
+    def replace(match: re.Match[str]) -> str:
+        kind = match.lastgroup
+        if kind == "literal":
+            return match.group()
+        if kind == "line":
+            return ""
+        if kind == "block":
+            return " " + "\n" * match.group().count("\n")
+        if kind == "open_literal":
+            raise PreprocessorError("unterminated literal", SourceLocation())
+        index = match.start()
+        raise PreprocessorError(
+            "unterminated block comment",
+            SourceLocation(
+                filename,
+                text.count("\n", 0, index) + 1,
+                index - text.rfind("\n", 0, index),
+            ),
+        )
+
+    return _COMMENT_RE.sub(replace, text)
 
 
 def _splice_continuations(text: str) -> list[str]:
@@ -535,19 +541,16 @@ def _replace_defined(text: str, macros: dict[str, Macro]) -> str:
 
 
 class _ConditionParser:
-    """Recursive-descent evaluator for #if integer expressions."""
+    """Recursive-descent evaluator for #if integer expressions, with the
+    C parser's precedence table for binary operators."""
 
     def __init__(self, text: str, location: SourceLocation):
-        from repro.frontend.lexer import tokenize
-
         self._tokens = tokenize(text, location.filename)
         self._pos = 0
         self._location = location
 
     def parse(self) -> int:
         value = self._ternary()
-        from repro.frontend.tokens import TokenKind
-
         if self._tokens[self._pos].kind is not TokenKind.EOF:
             raise PreprocessorError(
                 "trailing tokens in #if expression", self._location
@@ -563,9 +566,7 @@ class _ConditionParser:
         return token
 
     def _ternary(self) -> int:
-        from repro.frontend.tokens import TokenKind
-
-        condition = self._binary(0)
+        condition = self._binary()
         if self._peek_kind() is TokenKind.QUESTION:
             self._take()
             then_value = self._ternary()
@@ -576,66 +577,21 @@ class _ConditionParser:
             return then_value if condition else else_value
         return condition
 
-    _BINARY_LEVELS: list[dict[str, object]] = []
-
-    def _binary(self, level: int) -> int:
-        from repro.frontend.tokens import TokenKind
-
-        levels = [
-            {TokenKind.LOGICAL_OR: lambda a, b: int(bool(a) or bool(b))},
-            {TokenKind.LOGICAL_AND: lambda a, b: int(bool(a) and bool(b))},
-            {TokenKind.PIPE: lambda a, b: a | b},
-            {TokenKind.CARET: lambda a, b: a ^ b},
-            {TokenKind.AMP: lambda a, b: a & b},
-            {
-                TokenKind.EQ: lambda a, b: int(a == b),
-                TokenKind.NE: lambda a, b: int(a != b),
-            },
-            {
-                TokenKind.LT: lambda a, b: int(a < b),
-                TokenKind.GT: lambda a, b: int(a > b),
-                TokenKind.LE: lambda a, b: int(a <= b),
-                TokenKind.GE: lambda a, b: int(a >= b),
-            },
-            {
-                TokenKind.SHL: lambda a, b: a << b,
-                TokenKind.SHR: lambda a, b: a >> b,
-            },
-            {
-                TokenKind.PLUS: lambda a, b: a + b,
-                TokenKind.MINUS: lambda a, b: a - b,
-            },
-            {
-                TokenKind.STAR: lambda a, b: a * b,
-                TokenKind.SLASH: lambda a, b: _div(a, b, self._location),
-                TokenKind.PERCENT: lambda a, b: _mod(a, b, self._location),
-            },
-        ]
-        if level >= len(levels):
-            return self._unary()
-        value = self._binary(level + 1)
-        while self._peek_kind() in levels[level]:
-            op = levels[level][self._take().kind]
-            right = self._binary(level + 1)
-            value = op(value, right)  # type: ignore[operator]
-        return value
+    def _binary(self, min_precedence: int = 1) -> int:
+        value = self._unary()
+        while True:
+            entry = BINARY_OPERATORS.get(self._peek_kind())
+            if entry is None or entry[0] < min_precedence:
+                return value
+            self._take()
+            right = self._binary(entry[0] + 1)
+            value = _IF_ARITHMETIC[entry[1]](value, right, self._location)
 
     def _unary(self) -> int:
-        from repro.frontend.tokens import TokenKind
-
         kind = self._peek_kind()
-        if kind is TokenKind.MINUS:
+        if kind in _IF_UNARY:
             self._take()
-            return -self._unary()
-        if kind is TokenKind.PLUS:
-            self._take()
-            return self._unary()
-        if kind is TokenKind.BANG:
-            self._take()
-            return int(not self._unary())
-        if kind is TokenKind.TILDE:
-            self._take()
-            return ~self._unary()
+            return _IF_UNARY[kind](self._unary())
         if kind is TokenKind.LPAREN:
             self._take()
             value = self._ternary()
@@ -661,6 +617,37 @@ def _mod(a: int, b: int, location: SourceLocation) -> int:
     if b == 0:
         raise PreprocessorError("modulo by zero in #if", location)
     return a - _div(a, b, location) * b
+
+
+#: #if arithmetic on Python integers, by unary operator.
+_IF_UNARY: dict[TokenKind, Callable[[int], int]] = {
+    TokenKind.MINUS: lambda a: -a,
+    TokenKind.PLUS: lambda a: a,
+    TokenKind.BANG: lambda a: int(not a),
+    TokenKind.TILDE: lambda a: ~a,
+}
+
+#: #if arithmetic on Python integers, by binary operator spelling.
+_IF_ARITHMETIC: dict[str, Callable[[int, int, SourceLocation], int]] = {
+    "||": lambda a, b, _: int(bool(a) or bool(b)),
+    "&&": lambda a, b, _: int(bool(a) and bool(b)),
+    "|": lambda a, b, _: a | b,
+    "^": lambda a, b, _: a ^ b,
+    "&": lambda a, b, _: a & b,
+    "==": lambda a, b, _: int(a == b),
+    "!=": lambda a, b, _: int(a != b),
+    "<": lambda a, b, _: int(a < b),
+    ">": lambda a, b, _: int(a > b),
+    "<=": lambda a, b, _: int(a <= b),
+    ">=": lambda a, b, _: int(a >= b),
+    "<<": lambda a, b, _: a << b,
+    ">>": lambda a, b, _: a >> b,
+    "+": lambda a, b, _: a + b,
+    "-": lambda a, b, _: a - b,
+    "*": lambda a, b, _: a * b,
+    "/": _div,
+    "%": _mod,
+}
 
 
 def preprocess(

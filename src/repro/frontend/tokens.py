@@ -8,7 +8,7 @@ kind so the parser can match on kind alone.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.frontend.errors import SourceLocation
 
@@ -108,6 +108,11 @@ class TokenKind(enum.Enum):
     # End of input sentinel.
     EOF = "<eof>"
 
+    # Members are singletons compared by identity, so identity hashing
+    # is consistent with equality, and far cheaper than Enum's
+    # name-based hash in the parser's many set and dict lookups.
+    __hash__ = object.__hash__
+
 
 #: Map from keyword spelling to its TokenKind.
 KEYWORDS: dict[str, TokenKind] = {
@@ -137,9 +142,9 @@ PUNCTUATORS: list[tuple[str, TokenKind]] = sorted(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token (an immutable, hashable record; a tuple
+    because the lexer builds one per token and a tuple builds fastest).
 
     ``text`` is the exact source spelling.  ``value`` carries the decoded
     payload for literals: an ``int`` for integer and character literals, a
@@ -149,7 +154,7 @@ class Token:
 
     kind: TokenKind
     text: str
-    location: SourceLocation = field(default_factory=SourceLocation)
+    location: SourceLocation = SourceLocation()
     value: int | float | str | None = None
 
     def is_keyword(self) -> bool:

@@ -211,6 +211,35 @@ class TestComments:
         )
 
 
+class TestErrorLocations:
+    """Every LexError names its exact ``file:line:col``: the offending
+    character, or the start of the offending literal or comment."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("@", "unexpected character '@'"),
+            ("0x;", "malformed hex literal"),
+            ("0779", "invalid octal literal 0779"),
+            ("''", "empty or unterminated character literal"),
+            ("'ab'", "unterminated character literal"),
+            ('"abc', "unterminated string literal"),
+            ('"abc\ndef"', "unterminated string literal"),
+            ('"abc\\', "unterminated escape sequence"),
+            ("'\\", "unterminated escape sequence"),
+            ('"\\xg"', "\\x with no hex digits"),
+            ('"\\x110000"', "hex escape \\x110000 out of range"),
+            ("'\\q'", "unknown escape sequence \\q"),
+            ('"ok\\9"', "unknown escape sequence \\9"),
+            ("/* never closed", "unterminated block comment"),
+        ],
+    )
+    def test_message_and_position(self, bad, message):
+        with pytest.raises(LexError) as info:
+            tokenize("int a;\n  x = " + bad, "f.c")
+        assert info.value.diagnostic() == f"f.c:2:7: {message}"
+
+
 class TestLocations:
     def test_line_and_column_tracking(self):
         tokens = tokenize("a\n  b")
